@@ -48,6 +48,16 @@ let policy_arg =
 let threads_arg =
   Arg.(value & opt int 48 & info [ "t"; "threads" ] ~docv:"N" ~doc:"Threads (= vCPUs).")
 
+(* Every vCPU is pinned to its own pCPU, so a run needs between one
+   thread and the host's CPU count; anything else is a usage error. *)
+let check_threads (machine : Numa.Machine_desc.t) threads =
+  let cpus = Numa.Topology.cpu_count (machine.Numa.Machine_desc.topology ()) in
+  if threads < 1 || threads > cpus then begin
+    Printf.eprintf "xen-numa-sim: --threads must be between 1 and %d on %s (got %d)\n" cpus
+      machine.Numa.Machine_desc.name threads;
+    exit 1
+  end
+
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let mcs_arg =
@@ -174,6 +184,7 @@ let inner_jobs_arg =
 
 let run_app app mode policy threads seed mcs huge_pages pt_walk replicate_pt unpinned machine
     faults trace trace_cap metrics inner_jobs slo profile no_fast_forward =
+  check_threads machine threads;
   if trace_cap <= 0 then begin
     prerr_endline "xen-numa-sim: --trace-cap must be positive";
     exit 1
@@ -270,6 +281,7 @@ let topo_cmd =
   Cmd.v (Cmd.info "topology" ~doc) Term.(const show_topo $ const ())
 
 let compare_policies app mode threads seed =
+  check_threads Numa.Machine_desc.amd48 threads;
   let specs = Policies.Spec.all in
   let rows =
     List.map

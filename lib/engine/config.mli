@@ -104,10 +104,11 @@ type t = {
           accounting never feeds back into the simulation, so a run
           with SLOs is bit-identical to one without. *)
   fast_forward : bool;
-      (** Allow the runner's steady-state fast-forward: quiescent
-          epochs replay the previous epoch's captured float deltas by
-          identical additions in identical order instead of re-running
-          the O(threads×nodes) kernels, so results and traces stay
+      (** Allow the runner's steady-state fast-forward: a quiescent
+          epoch restores the kernels' per-vCPU outputs captured two
+          epochs before (same parity) instead of re-running the
+          O(threads×nodes) kernels, then runs the full epoch's own
+          commit stages on them, so results and traces stay
           bit-identical to the naive loop (the escape hatch is
           [--no-fast-forward]).  Forced off internally for
           fault-injection runs, unpinned vCPUs and observer runs.

@@ -40,7 +40,6 @@ type vm_state = {
       (* Concrete pv queue driving real alloc/release churn; only built
          under fault injection (clean runs model the churn analytically
          in release_churn_overhead). *)
-  process : Guest.Process.t;
   shared : region;
   privates : region array;
   (* Flat pfn -> region location index.  Guest pfns are small dense
@@ -77,17 +76,8 @@ type vm_state = {
   thread_final : float array;   (* instructions retired this epoch, per thread;
                                    captured because the throughput kernel scales
                                    thread_dst/thread_accesses in place, which
-                                   loses [doit *. realized] — the delta the
-                                   fast-forward replay re-subtracts *)
-  vcpu_rng : Sim.Rng.t array;
-      (* Independent per-vCPU streams, derived (not split) from the
-         VM's stream right after its creation: a pure function of the
-         cell seed and the vCPU id, identical under any shard count.
-         The epoch kernel draws nothing from them today — the one
-         per-vCPU draw (injected stalls) stays on the injector's
-         shared stream for trace compatibility, which is why fault
-         runs bypass sharding — but any future per-vCPU randomness
-         must come from here, never from a shared stream. *)
+                                   loses [doit *. realized] — the work a
+                                   replayed epoch retires *)
   src_shared : float array;  (* accesses into the shared region per source node *)
   mutable shared_accesses_epoch : float;
   mutable burst_victim : int;
@@ -124,32 +114,30 @@ type vm_state = {
   mutable ff_finished : int;     (* finished-thread count at the top *)
   mutable ff_rotated : bool;     (* pass A rotated the hot front this epoch *)
   mutable ff_io : float;         (* disk DMA bytes transferred this epoch *)
-  mutable ff_slo_active : bool;  (* the SLO block ran this epoch (scratch) *)
-  ff_slo_violate : bool array;   (* per-objective verdicts (scratch) *)
+  ff_out : float array array;
+      (* The per-vCPU arrays the kernels write and the commit stages
+         read: thread_doit, thread_cap, thread_final, thread_sync,
+         thread_total, avg_lat, thread_dst — in that order, the first
+         three being the replay guard's inputs. *)
   ff_snap : ff_snap array;       (* the two parity captures (even, odd) *)
 }
 
-(* One captured epoch of per-thread deltas for the fast-forward.  The
-   latency feedback's fixed point is in general a period-2 limit cycle
-   in the last ulp (the one-epoch-lag iteration overshoots and
-   alternates between two neighbouring floats forever), so the runner
-   keeps one capture per epoch parity and the replay alternates them;
-   a true period-1 fixed point just makes the two captures equal. *)
+(* One captured epoch for the fast-forward: a copy of [ff_out] and the
+   epoch's disk DMA bytes.  The latency feedback's fixed point is in
+   general a period-2 limit cycle in the last ulp (the one-epoch-lag
+   iteration overshoots and alternates between two neighbouring floats
+   forever), so the runner keeps one capture per epoch parity and the
+   replay alternates them; a true period-1 fixed point just makes the
+   two captures equal. *)
 and ff_snap = {
   mutable sn_epoch : int;  (* capture epoch; -1 = stale *)
-  sn_sync : float array;   (* thread_sync: per-thread blocked time *)
-  sn_doit : float array;   (* > 0 marks threads that did work *)
-  sn_cap : float array;    (* epoch instruction ceiling, for the guard *)
-  sn_final : float array;  (* instructions retired (the work delta) *)
-  sn_total : float array;  (* realized accesses (the latency weights) *)
-  sn_lat : float array;    (* per-thread average latency *)
-  sn_dst : float array;    (* realized per-thread per-node traffic *)
-  mutable sn_io : float;   (* disk DMA bytes of the captured epoch *)
-  mutable sn_slo_active : bool;
-  sn_slo_violate : bool array;
+  sn_out : float array array;  (* copies of [ff_out], same order *)
+  mutable sn_io : float;
 }
 
 let vm_running st = Array.exists (fun f -> f < 0.0) st.finish
+
+let finished_count st = Array.fold_left (fun n f -> if f >= 0.0 then n + 1 else n) 0 st.finish
 
 (* ------------------------------------------------------------------ *)
 (* Cost models per mode                                                *)
@@ -205,8 +193,7 @@ let uniform_weights ~pages = Array.make pages (1.0 /. float_of_int pages)
 (* Touch [pages] consecutive virtual pages as [cpu]; returns the region
    with its placement resolved through the guest and hypervisor page
    tables. *)
-let build_region system st_pool process domain ~vfn0 ~pages ~weights ~cpu ~nodes =
-  ignore st_pool;
+let build_region system process domain ~vfn0 ~pages ~weights ~cpu ~nodes =
   let pfns = Array.make pages 0 in
   let page_node = Array.make pages 0 in
   let node_weight = Array.make nodes 0.0 in
@@ -236,98 +223,78 @@ let build_region system st_pool process domain ~vfn0 ~pages ~weights ~cpu ~nodes
 let tlb_hot_access_share (app : Workloads.App.t) =
   Float.min 0.95 (0.45 +. (0.4 *. app.Workloads.App.zipf_s))
 
-let tlb_cycles_per_instr (cfg : Config.t) (spec : Config.vm_spec) =
-  let app = spec.Config.app in
-  let page_size = if spec.Config.huge_pages then Guest.Tlb.Huge_2m else Guest.Tlb.Small_4k in
-  let virtualized = cfg.Config.mode <> Config.Linux in
-  0.3
-  *. Guest.Tlb.cycles_per_access Guest.Tlb.opteron page_size ~virtualized
-       ~footprint_bytes:(app.Workloads.App.footprint_mb * 1024 * 1024)
-       ~hot_access_share:(tlb_hot_access_share app)
+let superpage_fraction (domain : Xen.Domain.t) =
+  let p2m = domain.Xen.Domain.p2m in
+  let mapped = Xen.P2m.mapped_count p2m in
+  if mapped = 0 then 0.0 else float_of_int (Xen.P2m.superpage_frames p2m) /. float_of_int mapped
 
-(* Under P2M superpages the walk cost is not a boot-time constant: the
-   fraction of guest memory behind 2 MiB entries moves as first-touch
-   invalidations splinter extents and the promotion scan re-coalesces
-   them, and the TLB reach follows it.  Guest-level huge pages
-   ([huge_pages]) still assume the whole footprint is huge-mapped. *)
-let tlb_cycles_per_instr_dynamic (cfg : Config.t) (spec : Config.vm_spec)
-    (domain : Xen.Domain.t) =
-  if spec.Config.huge_pages then tlb_cycles_per_instr cfg spec
-  else begin
-    let app = spec.Config.app in
-    let p2m = domain.Xen.Domain.p2m in
-    let mapped = Xen.P2m.mapped_count p2m in
-    let huge_fraction =
-      if mapped = 0 then 0.0
-      else float_of_int (Xen.P2m.superpage_frames p2m) /. float_of_int mapped
-    in
-    0.3
-    *. Guest.Tlb.cycles_per_access_mixed Guest.Tlb.opteron ~huge_fraction
-         ~virtualized:(cfg.Config.mode <> Config.Linux)
-         ~footprint_bytes:(app.Workloads.App.footprint_mb * 1024 * 1024)
-         ~hot_access_share:(tlb_hot_access_share app)
-  end
+(* Share of the footprint behind 2 MiB translations: all of it under
+   guest huge pages, otherwise the live P2M superpage fraction, which
+   splinters and promotes move (and which is 0 without superpages). *)
+let huge_fraction (spec : Config.vm_spec) domain =
+  if spec.Config.huge_pages then 1.0 else superpage_fraction domain
 
 (* Radix pricing (--pt-walk): each walk level is charged at the static
    latency of the node backing that page-table level, normalised to
    the local latency the flat model assumes.  Ratios use unsaturated
    latencies — the walk term prices the tables' placement, not the
    epoch's congestion — so on a topology where every level is local
-   (one node, or replicated tables) the sum collapses back to the
-   flat constant by construction. *)
-let tlb_cycles_per_instr_radix (cfg : Config.t) (spec : Config.vm_spec)
-    (domain : Xen.Domain.t) ~(pt : Xen.Pt.t) ~(thread_node : int array) ~topo ~latency =
-  let app = spec.Config.app in
+   (one node, or replicated tables) the ratio is 1.0 everywhere. *)
+let walk_level_ratio ~(pt : Xen.Pt.t) ~(thread_node : int array) ~topo ~latency level =
   let local = Numa.Latency.mem_cycles latency ~hops:0 ~saturation:0.0 in
-  let threads = spec.Config.threads in
-  let level_ratio level =
-    let acc = ref 0.0 in
-    for t = 0 to threads - 1 do
-      let node = thread_node.(t) in
-      let hops = Numa.Topology.distance topo node (Xen.Pt.level_node pt ~level ~node) in
-      acc := !acc +. (Numa.Latency.mem_cycles latency ~hops ~saturation:0.0 /. local)
-    done;
-    !acc /. float_of_int threads
-  in
-  let huge_fraction =
-    if spec.Config.huge_pages then 1.0
-    else begin
-      (* Without P2M superpages the counter is 0, so this is the 4 KiB
-         path; with them it tracks the live fraction like the flat
-         dynamic model. *)
-      let p2m = domain.Xen.Domain.p2m in
-      let mapped = Xen.P2m.mapped_count p2m in
-      if mapped = 0 then 0.0
-      else float_of_int (Xen.P2m.superpage_frames p2m) /. float_of_int mapped
-    end
-  in
+  let threads = Array.length thread_node in
+  let acc = ref 0.0 in
+  for t = 0 to threads - 1 do
+    let node = thread_node.(t) in
+    let hops = Numa.Topology.distance topo node (Xen.Pt.level_node pt ~level ~node) in
+    acc := !acc +. (Numa.Latency.mem_cycles latency ~hops ~saturation:0.0 /. local)
+  done;
+  !acc /. float_of_int threads
+
+(* Walk cycles per instruction, blended over [huge_fraction]: flat
+   walks by default (at a fraction of 0 or 1 the blend is the
+   single-size value bit for bit), radix walks given a [level_ratio]. *)
+let tlb_cycles_per_instr (cfg : Config.t) (spec : Config.vm_spec) ~huge_fraction ?level_ratio () =
+  let app = spec.Config.app in
+  let virtualized = cfg.Config.mode <> Config.Linux in
+  let footprint_bytes = app.Workloads.App.footprint_mb * 1024 * 1024 in
+  let hot_access_share = tlb_hot_access_share app in
   0.3
-  *. Guest.Tlb.cycles_per_access_mixed_radix Guest.Tlb.opteron ~huge_fraction
-       ~virtualized:(cfg.Config.mode <> Config.Linux)
-       ~footprint_bytes:(app.Workloads.App.footprint_mb * 1024 * 1024)
-       ~hot_access_share:(tlb_hot_access_share app) ~level_ratio
+  *.
+  match level_ratio with
+  | None ->
+      Guest.Tlb.cycles_per_access_mixed Guest.Tlb.opteron ~huge_fraction ~virtualized
+        ~footprint_bytes ~hot_access_share
+  | Some level_ratio ->
+      Guest.Tlb.cycles_per_access_mixed_radix Guest.Tlb.opteron ~huge_fraction ~virtualized
+        ~footprint_bytes ~hot_access_share ~level_ratio
 
 (* Popularity of page [i] under the region's current rotation. *)
 let eff_weight region i =
   let pages = Array.length region.weights in
   region.weights.(((i - region.shift) mod pages + pages) mod pages)
 
-(* Move the hot front: re-aggregate per-node popularity under the new
-   rotation (replicated pages keep serving their read share locally). *)
+(* Re-aggregate per-node popularity from the pages' nodes and the
+   current rotation (replicated pages keep serving their read share
+   locally). *)
+let reaggregate_region region ~read_fraction =
+  Array.fill region.node_weight 0 (Array.length region.node_weight) 0.0;
+  region.replicated_local <- 0.0;
+  Array.iteri
+    (fun i node ->
+      let w = eff_weight region i in
+      if Bytes.get region.replicated i <> '\000' then begin
+        region.node_weight.(node) <- region.node_weight.(node) +. (w *. (1.0 -. read_fraction));
+        region.replicated_local <- region.replicated_local +. (w *. read_fraction)
+      end
+      else region.node_weight.(node) <- region.node_weight.(node) +. w)
+    region.page_node
+
+(* Move the hot front. *)
 let rotate_region region ~shift ~read_fraction =
   if shift <> region.shift then begin
     region.shift <- shift;
-    Array.fill region.node_weight 0 (Array.length region.node_weight) 0.0;
-    region.replicated_local <- 0.0;
-    Array.iteri
-      (fun i node ->
-        let w = eff_weight region i in
-        if Bytes.get region.replicated i <> '\000' then begin
-          region.node_weight.(node) <- region.node_weight.(node) +. (w *. (1.0 -. read_fraction));
-          region.replicated_local <- region.replicated_local +. (w *. read_fraction)
-        end
-        else region.node_weight.(node) <- region.node_weight.(node) +. w)
-      region.page_node
+    reaggregate_region region ~read_fraction
   end
 
 let carrefour_config (cfg : Config.t) machine =
@@ -362,10 +329,6 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
       ~vcpus:spec.Config.threads ~mem_bytes ?home_nodes:spec.Config.home_nodes ()
   in
   let rng = Sim.Rng.split root_rng in
-  (* Derived before anything draws from [rng], so each stream is a
-     pure function of (cell seed, vCPU id) — and [derive] does not
-     advance [rng], so inserting this changed no existing draw. *)
-  let vcpu_rng = Shard.streams rng ~count:spec.Config.threads in
   let policy = spec.Config.policy in
   (* P2M superpages only exist under a hypervisor. *)
   let superpages = spec.Config.superpages && cfg.Config.mode <> Config.Linux in
@@ -438,13 +401,13 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
   let process = Guest.Process.create ~pid:1 ~vframes ~pool in
   let master_cpu = domain.Xen.Domain.vcpu_pin.(0) in
   let shared =
-    build_region system pool process domain ~vfn0:0 ~pages:shared_pages
+    build_region system process domain ~vfn0:0 ~pages:shared_pages
       ~weights:(zipf_weights ~pages:shared_pages ~s:app.Workloads.App.zipf_s)
       ~cpu:master_cpu ~nodes
   in
   let privates =
     Array.init threads (fun t ->
-        build_region system pool process domain
+        build_region system process domain
           ~vfn0:(shared_pages + (t * private_pages))
           ~pages:private_pages
           ~weights:(uniform_weights ~pages:private_pages)
@@ -469,13 +432,22 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
     Workloads.App.instructions_per_thread app ~threads
       ~freq_hz:cfg.Config.machine.Numa.Machine_desc.freq_hz
   in
+  let thread_doit = Array.make threads 0.0 in
+  let thread_cap = Array.make threads 0.0 in
+  let thread_final = Array.make threads 0.0 in
+  let thread_sync = Array.make threads 0.0 in
+  let thread_total = Array.make threads 0.0 in
+  let avg_lat = Array.make threads 190.0 in
+  let thread_dst = Array.make (threads * nodes) 0.0 in
+  let ff_out =
+    [| thread_doit; thread_cap; thread_final; thread_sync; thread_total; avg_lat; thread_dst |]
+  in
   {
     spec;
     domain;
     manager;
     pool;
     queue;
-    process;
     shared;
     privates;
     pfn_owner;
@@ -486,20 +458,19 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
     sample_count = 0;
     sample_scratch = Array.make nodes 0.0;
     remaining = Array.make threads work;
-    avg_lat = Array.make threads 190.0;
+    avg_lat;
     finish = Array.make threads (-1.0);
     thread_node =
       Array.init threads (fun t -> Numa.Topology.node_of_cpu topo domain.Xen.Domain.vcpu_pin.(t));
-    thread_dst = Array.make (threads * nodes) 0.0;
+    thread_dst;
     thread_accesses = Array.make threads 0.0;
-    thread_doit = Array.make threads 0.0;
-    thread_cap = Array.make threads 0.0;
+    thread_doit;
+    thread_cap;
     thread_shared = Array.make threads 0.0;
     thread_burst = Array.make threads 0.0;
-    thread_sync = Array.make threads 0.0;
-    thread_total = Array.make threads 0.0;
-    thread_final = Array.make threads 0.0;
-    vcpu_rng;
+    thread_sync;
+    thread_total;
+    thread_final;
     src_shared = Array.make nodes 0.0;
     shared_accesses_epoch = 0.0;
     burst_victim = -1;
@@ -516,7 +487,10 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
     slo_violations = Array.make (List.length cfg.Config.slo) 0;
     active_epochs = 0;
     private_sample_cursor = 0;
-    tlb_cycles_per_instr = tlb_cycles_per_instr cfg spec;
+    (* Before the first epoch the walk is priced at the static page
+       size; superpage and --pt-walk VMs reprice it every epoch. *)
+    tlb_cycles_per_instr =
+      tlb_cycles_per_instr cfg spec ~huge_fraction:(if spec.Config.huge_pages then 1.0 else 0.0) ();
     work_per_thread = work;
     phase = 0;
     rng;
@@ -526,23 +500,9 @@ let setup_vm (cfg : Config.t) system injector root_rng (spec : Config.vm_spec) =
     ff_finished = 0;
     ff_rotated = false;
     ff_io = 0.0;
-    ff_slo_active = false;
-    ff_slo_violate = Array.make (List.length cfg.Config.slo) false;
+    ff_out;
     ff_snap =
-      Array.init 2 (fun _ ->
-          {
-            sn_epoch = -1;
-            sn_sync = Array.make threads 0.0;
-            sn_doit = Array.make threads 0.0;
-            sn_cap = Array.make threads 0.0;
-            sn_final = Array.make threads 0.0;
-            sn_total = Array.make threads 0.0;
-            sn_lat = Array.make threads 0.0;
-            sn_dst = Array.make (threads * nodes) 0.0;
-            sn_io = 0.0;
-            sn_slo_active = false;
-            sn_slo_violate = Array.make (List.length cfg.Config.slo) false;
-          });
+      Array.init 2 (fun _ -> { sn_epoch = -1; sn_out = Array.map Array.copy ff_out; sn_io = 0.0 });
   }
 
 (* ------------------------------------------------------------------ *)
@@ -666,7 +626,7 @@ let epoch_compute_kernel st ~injector ~faults_on ~occupancy ~oh ~carrefour_tax ~
 
 (* Fixed-order reduction over the kernel's per-vCPU slots: vCPU 0
    first, always — the summation tree of the unsharded loop. *)
-let reduce_epoch_traffic st ~threads ~accesses_acc =
+let reduce_epoch_traffic st ~threads =
   for t = 0 to threads - 1 do
     if st.finish.(t) < 0.0 then st.sync_overhead <- st.sync_overhead +. st.thread_sync.(t);
     if st.thread_cap.(t) > 0.0 then begin
@@ -674,10 +634,80 @@ let reduce_epoch_traffic st ~threads ~accesses_acc =
       st.src_shared.(st.thread_node.(t)) <- st.src_shared.(st.thread_node.(t)) +. acc_shared;
       st.shared_accesses_epoch <- st.shared_accesses_epoch +. acc_shared;
       if st.thread_burst.(t) > 0.0 then
-        st.burst_accesses_epoch <- st.burst_accesses_epoch +. st.thread_burst.(t);
-      accesses_acc := !accesses_acc +. st.thread_accesses.(t)
+        st.burst_accesses_epoch <- st.burst_accesses_epoch +. st.thread_burst.(t)
     end
   done
+
+(* Commit the realized thread traffic to the hardware counters — a
+   cross-vCPU float accumulation, so vCPU order, sequential. *)
+let commit_traffic counters st ~nodes =
+  for t = 0 to st.spec.Config.threads - 1 do
+    if st.thread_doit.(t) > 0.0 then begin
+      let base = t * nodes in
+      let src = st.thread_node.(t) in
+      for n = 0 to nodes - 1 do
+        if st.thread_dst.(base + n) > 0.0 then
+          Numa.Counters.record_accesses counters ~src ~dst:n ~count:st.thread_dst.(base + n)
+            ~bytes_per_access:access_bytes
+      done
+    end
+  done
+
+(* The value of one --slo metric from a mean and a percentile function. *)
+let slo_value metric ~mean ~percentile =
+  match metric with
+  | "mean" -> mean
+  | "p50" -> percentile 50.0
+  | "p95" -> percentile 95.0
+  | "p99" -> percentile 99.0
+  | "p999" -> percentile 99.9
+  | m -> invalid_arg ("Runner: unknown SLO metric " ^ m)
+
+(* Sequential fixed-order latency reduction; also the one place
+   latency samples are recorded, so the histogram (and everything
+   derived from it) is bit-identical whatever the shard schedule.
+   Consecutive bitwise-equal samples enter the histogram through one
+   [add_n], which leaves the same bits as that many [add]s.  The
+   per-epoch SLO accounting is purely observational — no RNG, no
+   traffic, no trace — so a run with objectives stays bit-identical to
+   one without. *)
+let reduce_latency (cfg : Config.t) st ~nodes =
+  let running = ref 0 in
+  let ep_wlat = ref 0.0 in
+  let ep_total = ref 0.0 in
+  let run_v = ref 0.0 in
+  let run_n = ref 0 in
+  for t = 0 to st.spec.Config.threads - 1 do
+    let total = st.thread_total.(t) in
+    if total > 0.0 then begin
+      let lat = st.avg_lat.(t) in
+      st.weighted_lat <- st.weighted_lat +. (total *. lat);
+      st.total_accesses <- st.total_accesses +. total;
+      st.local_accesses <- st.local_accesses +. st.thread_dst.((t * nodes) + st.thread_node.(t));
+      if !run_n > 0 && Int64.bits_of_float lat = Int64.bits_of_float !run_v then incr run_n
+      else begin
+        if !run_n > 0 then Sim.Stats.Histogram.add_n st.lat_hist !run_v !run_n;
+        run_v := lat;
+        run_n := 1
+      end;
+      st.slo_scratch.(!running) <- lat;
+      incr running;
+      ep_wlat := !ep_wlat +. (total *. lat);
+      ep_total := !ep_total +. total
+    end
+  done;
+  if !run_n > 0 then Sim.Stats.Histogram.add_n st.lat_hist !run_v !run_n;
+  if cfg.Config.slo <> [] && !running > 0 then begin
+    st.active_epochs <- st.active_epochs + 1;
+    let samples = Array.sub st.slo_scratch 0 !running in
+    List.iteri
+      (fun i (metric, target) ->
+        let value =
+          slo_value metric ~mean:(!ep_wlat /. !ep_total) ~percentile:(Sim.Stats.percentile samples)
+        in
+        if value > target then st.slo_violations.(i) <- st.slo_violations.(i) + 1)
+      cfg.Config.slo
+  end
 
 (* Per-epoch safety check of the steady-state fast-forward: a replayed
    epoch must not be one in which a thread would have finished or hit
@@ -709,6 +739,24 @@ let arrays_bits_equal a b =
   done;
   !ok
 
+(* The fast-forward capture, its arming comparison and its restore:
+   one loop each over [ff_out]. *)
+let ff_capture st snap =
+  Array.iter2 (fun live copy -> Array.blit live 0 copy 0 (Array.length live)) st.ff_out snap.sn_out;
+  snap.sn_io <- st.ff_io
+
+let ff_matches st snap =
+  Array.for_all2 arrays_bits_equal snap.sn_out st.ff_out
+  && Int64.bits_of_float snap.sn_io = Int64.bits_of_float st.ff_io
+
+let ff_restore st snap =
+  Array.iter2 (fun copy live -> Array.blit copy 0 live 0 (Array.length copy)) snap.sn_out st.ff_out
+
+(* [replay_guard] over a capture: doit, cap and final lead [ff_out]. *)
+let ff_guard st snap =
+  replay_guard ~finish:st.finish ~remaining:st.remaining ~doit:snap.sn_out.(0)
+    ~cap:snap.sn_out.(1) ~final:snap.sn_out.(2)
+
 (* Pass A of the epoch: the two pieces that must run every epoch even
    when the fast-forward replays the rest — the hot-front phase check
    (reads only [remaining]) and the burst bernoulli draw (advances
@@ -723,9 +771,7 @@ let epoch_pass_a st =
   st.ff_io <- 0.0;
   st.ff_p2m_version <- Xen.P2m.version st.domain.Xen.Domain.p2m;
   st.ff_migrations <- st.migrations;
-  (let fin = ref 0 in
-   Array.iter (fun f -> if f >= 0.0 then incr fin) st.finish;
-   st.ff_finished <- !fin);
+  st.ff_finished <- finished_count st;
   let app = st.spec.Config.app in
   (* algorithmic phases: as the run progresses, the hot front of the
      shared region moves; static placements do not notice, dynamic
@@ -867,6 +913,31 @@ let feed_samples st sys =
   done;
   st.private_sample_cursor <- st.private_sample_cursor + 8
 
+(* Call [f region slot node] for a tracked [pfn] the P2M maps on [node]. *)
+let with_mapped_page st pfn f =
+  let owner = if pfn < Array.length st.pfn_owner then st.pfn_owner.(pfn) else -1 in
+  if owner >= 0 then
+    match Policies.Manager.node_of_pfn st.manager pfn with
+    | None -> ()
+    | Some node ->
+        f (if owner = 0 then st.shared else st.privates.(owner - 1)) st.pfn_slot.(pfn) node
+
+(* Move page [i]'s popularity from its cached node to [node] (only the
+   write share of a replicated page); true if the node changed. *)
+let move_page region i ~node ~read_fraction =
+  let old_node = region.page_node.(i) in
+  if old_node = node then false
+  else begin
+    let w = eff_weight region i in
+    let moved =
+      if Bytes.get region.replicated i <> '\000' then w *. (1.0 -. read_fraction) else w
+    in
+    region.node_weight.(old_node) <- region.node_weight.(old_node) -. moved;
+    region.node_weight.(node) <- region.node_weight.(node) +. moved;
+    region.page_node.(i) <- node;
+    true
+  end
+
 (* Refresh cached placement after Carrefour migrations and
    replications, over the pages fed this period. *)
 let refresh_placement st =
@@ -874,45 +945,24 @@ let refresh_placement st =
   let carrefour = Policies.Manager.carrefour st.manager in
   for s = 0 to st.sample_count - 1 do
     let pfn = st.sample_pfns.(s) in
-    (let owner = if pfn < Array.length st.pfn_owner then st.pfn_owner.(pfn) else -1 in
-      if owner >= 0 then
-        match Policies.Manager.node_of_pfn st.manager pfn with
-        | None -> ()
-        | Some node ->
-            let i = st.pfn_slot.(pfn) in
-            let region = if owner = 0 then st.shared else st.privates.(owner - 1) in
-            let w = eff_weight region i in
-            (* Replication status change: the read share of the
-               page's popularity moves between the home node and the
-               everywhere-local pool. *)
-            let replicated_now =
-              match carrefour with
-              | Some sys -> Policies.Carrefour.System_component.is_replicated sys pfn
-              | None -> false
-            in
-            let was = Bytes.get region.replicated i <> '\000' in
-            if replicated_now && not was then begin
-              let moved = w *. read_fraction in
-              region.node_weight.(region.page_node.(i)) <-
-                region.node_weight.(region.page_node.(i)) -. moved;
-              region.replicated_local <- region.replicated_local +. moved;
-              Bytes.set region.replicated i '\001'
-            end
-            else if was && not replicated_now then begin
-              let moved = w *. read_fraction in
-              region.node_weight.(region.page_node.(i)) <-
-                region.node_weight.(region.page_node.(i)) +. moved;
-              region.replicated_local <- region.replicated_local -. moved;
-              Bytes.set region.replicated i '\000'
-            end;
-            let old_node = region.page_node.(i) in
-            if old_node <> node then begin
-              let moved = if replicated_now then w *. (1.0 -. read_fraction) else w in
-              region.node_weight.(old_node) <- region.node_weight.(old_node) -. moved;
-              region.node_weight.(node) <- region.node_weight.(node) +. moved;
-              region.page_node.(i) <- node;
-              st.migrations <- st.migrations + 1
-            end)
+    with_mapped_page st pfn (fun region i node ->
+        (* Replication status change: the read share of the page's
+           popularity moves between the home node and the
+           everywhere-local pool. *)
+        let replicated_now =
+          match carrefour with
+          | Some sys -> Policies.Carrefour.System_component.is_replicated sys pfn
+          | None -> false
+        in
+        if replicated_now <> (Bytes.get region.replicated i <> '\000') then begin
+          let w = eff_weight region i in
+          let moved = if replicated_now then w *. read_fraction else -.(w *. read_fraction) in
+          let home = region.page_node.(i) in
+          region.node_weight.(home) <- region.node_weight.(home) -. moved;
+          region.replicated_local <- region.replicated_local +. moved;
+          Bytes.set region.replicated i (if replicated_now then '\001' else '\000')
+        end;
+        if move_page region i ~node ~read_fraction then st.migrations <- st.migrations + 1)
   done
 
 (* Re-resolve every region page's node through the P2M: while an
@@ -920,52 +970,24 @@ let refresh_placement st =
    what the per-sample Carrefour refresh can track, and traffic routed
    at the stale (collapsing) node would never recover. *)
 let refresh_region st region =
-  let read_fraction = st.spec.Config.app.Workloads.App.read_fraction in
-  let nodes = Array.length region.node_weight in
-  Array.fill region.node_weight 0 nodes 0.0;
-  region.replicated_local <- 0.0;
   Array.iteri
     (fun i pfn ->
-      (match Policies.Manager.node_of_pfn st.manager pfn with
+      match Policies.Manager.node_of_pfn st.manager pfn with
       | Some node -> region.page_node.(i) <- node
-      | None -> ());
-      let node = region.page_node.(i) in
-      let w = eff_weight region i in
-      if Bytes.get region.replicated i <> '\000' then begin
-        region.node_weight.(node) <- region.node_weight.(node) +. (w *. (1.0 -. read_fraction));
-        region.replicated_local <- region.replicated_local +. (w *. read_fraction)
-      end
-      else region.node_weight.(node) <- region.node_weight.(node) +. w)
-    region.pfns
+      | None -> ())
+    region.pfns;
+  reaggregate_region region ~read_fraction:st.spec.Config.app.Workloads.App.read_fraction
 
 let refresh_regions st =
   refresh_region st st.shared;
   Array.iter (refresh_region st) st.privates
 
-(* Targeted variant for sparse placement changes (the UE remap): move
-   one page's popularity between nodes. *)
+(* Targeted variant for sparse placement changes (the UE remap). *)
 let update_page_node st pfn =
-  if pfn < Array.length st.pfn_owner then begin
-    let owner = st.pfn_owner.(pfn) in
-    if owner >= 0 then
-      match Policies.Manager.node_of_pfn st.manager pfn with
-      | None -> ()
-      | Some node ->
-          let region = if owner = 0 then st.shared else st.privates.(owner - 1) in
-          let i = st.pfn_slot.(pfn) in
-          let old_node = region.page_node.(i) in
-          if old_node <> node then begin
-            let read_fraction = st.spec.Config.app.Workloads.App.read_fraction in
-            let w = eff_weight region i in
-            let moved =
-              if Bytes.get region.replicated i <> '\000' then w *. (1.0 -. read_fraction)
-              else w
-            in
-            region.node_weight.(old_node) <- region.node_weight.(old_node) -. moved;
-            region.node_weight.(node) <- region.node_weight.(node) +. moved;
-            region.page_node.(i) <- node
-          end
-  end
+  with_mapped_page st pfn (fun region i node ->
+      ignore
+        (move_page region i ~node
+           ~read_fraction:st.spec.Config.app.Workloads.App.read_fraction))
 
 (* ------------------------------------------------------------------ *)
 (* Completion accounting                                               *)
@@ -1030,7 +1052,7 @@ let vm_result cfg system st =
   in
   let release_overhead = release_churn_overhead cfg st ~active_seconds:compute_time in
   let p2m = st.domain.Xen.Domain.p2m in
-  let mapped = Xen.P2m.mapped_count p2m in
+  let pt = Policies.Manager.pt st.manager in
   let avg_latency_cycles =
     if st.total_accesses > 0.0 then st.weighted_lat /. st.total_accesses else 0.0
   in
@@ -1052,13 +1074,8 @@ let vm_result cfg system st =
     List.mapi
       (fun i (metric, target) ->
         let value =
-          match metric with
-          | "mean" -> avg_latency_cycles
-          | "p50" -> latency.Result.p50
-          | "p95" -> latency.Result.p95
-          | "p99" -> latency.Result.p99
-          | "p999" -> latency.Result.p999
-          | m -> invalid_arg ("Runner: unknown SLO metric " ^ m)
+          slo_value metric ~mean:avg_latency_cycles
+            ~percentile:(Sim.Stats.Histogram.percentile st.lat_hist)
         in
         {
           Result.metric;
@@ -1088,21 +1105,13 @@ let vm_result cfg system st =
     local_fraction =
       (if st.total_accesses > 0.0 then st.local_accesses /. st.total_accesses else 0.0);
     superpages = Xen.P2m.superpage_count p2m;
-    superpage_fraction =
-      (if mapped > 0 then float_of_int (Xen.P2m.superpage_frames p2m) /. float_of_int mapped
-       else 0.0);
+    superpage_fraction = superpage_fraction st.domain;
     splinters = Xen.P2m.splinter_count p2m;
     promotes = Xen.P2m.promote_count p2m;
     superpage_migrates = (Policies.Manager.stats st.manager).Policies.Manager.superpage_migrates;
     walk_cycles_per_instr = st.tlb_cycles_per_instr;
-    pt_replica_updates =
-      (match Policies.Manager.pt st.manager with
-      | Some pt -> Xen.Pt.replica_updates pt
-      | None -> 0);
-    pt_replica_invalidations =
-      (match Policies.Manager.pt st.manager with
-      | Some pt -> Xen.Pt.replica_invalidations pt
-      | None -> 0);
+    pt_replica_updates = Option.fold ~none:0 ~some:Xen.Pt.replica_updates pt;
+    pt_replica_invalidations = Option.fold ~none:0 ~some:Xen.Pt.replica_invalidations pt;
     pt_replica_time = account.Xen.Domain.pt_replica_time;
     latency;
     slo;
@@ -1230,7 +1239,6 @@ let run (cfg : Config.t) =
   let epoch_len = cfg.Config.epoch in
   let now = ref 0.0 in
   let epochs = ref 0 in
-  let epoch_accesses = Array.make (List.length states) 0.0 in
   (* A controller's sustained random-access throughput is well below
      its streaming peak (bank cycle time, row misses): 62% of the
      13 GiB/s plate number, as derived by the request-level simulator
@@ -1403,123 +1411,50 @@ let run (cfg : Config.t) =
              || (st.ff_armed
                 &&
                 (* The capture whose parity matches this epoch is the
-                   one the replay would apply. *)
+                   one the replay would restore. *)
                 let snap = st.ff_snap.(!epochs land 1) in
                 (* Steady disk DMA replays too, but only while the pool
                    can still serve a full-rate epoch; the partial final
                    epoch (and the first post-I/O epoch) must run live. *)
                 (if snap.sn_io > 0.0 then st.io_bytes_left >= snap.sn_io
                  else st.io_bytes_left <= 0.0)
-                && replay_guard ~finish:st.finish ~doit:snap.sn_doit ~remaining:st.remaining
-                     ~cap:snap.sn_cap ~final:snap.sn_final))
+                && ff_guard st snap))
            states
     in
+    Array.fill node_demand 0 nodes 0.0;
     if replay then begin
-      (* Delta replay: every float accumulation below re-performs the
-         additions the full kernels would have performed, on the same
-         frozen per-thread values, in the same order — so the run's
-         results and traces are bit-identical to the naive loop (the
-         engine.ff suite checks exactly that).  Scratch state the full
-         path rebuilds from scratch each epoch (node_demand,
-         node_scale, lat_memo, src_shared...) is left stale: only full
-         epochs read it, and each starts by refilling it. *)
+      (* Restore and commit: the kernels' outputs for this epoch are
+         the matching-parity capture, so the replay copies it into the
+         live arrays, retires the epoch's work, and runs the full
+         path's own commit stages on it, in the full path's order
+         (disk DMA, thread traffic, end of epoch, latency reduction) —
+         so the run's results and traces are bit-identical to the
+         naive loop (the engine.ff suite checks exactly that).  Scratch
+         the full path rebuilds each epoch (node_scale, lat_memo,
+         src_shared...) is left stale: only full epochs read it, and
+         each starts by refilling it. *)
       incr ff_replayed;
       let parity = !epochs land 1 in
       Obs.Profile.span Obs.Profile.Ff_replay (fun () ->
+          let live = List.filter vm_running states in
           List.iter
             (fun st ->
-              if vm_running st then begin
-                let snap = st.ff_snap.(parity) in
-                let threads = st.spec.Config.threads in
-                for t = 0 to threads - 1 do
-                  if st.finish.(t) < 0.0 then
-                    st.sync_overhead <- st.sync_overhead +. snap.sn_sync.(t);
-                  if snap.sn_doit.(t) > 0.0 then
-                    st.remaining.(t) <- st.remaining.(t) -. snap.sn_final.(t)
-                done
-              end)
-            states;
-          (* Steady-phase disk DMA: the guard proved this epoch moves
-             the same full-rate byte count as the captured one, so the
-             live code recomputes the identical transfer — decrement,
-             counter records and all — in the full path's VM order
-             (I/O is committed before the thread traffic there too). *)
-          List.iter
-            (fun st ->
-              if vm_running st && st.ff_snap.(parity).sn_io > 0.0 then
-                disk_traffic cfg st counters ~bus_node ~node_demand)
-            states;
-          (* Commit the captured realized traffic to the hardware
-             counters — the verbatim full-path loop, VM-major like the
-             original, so the per-(src,dst) accumulation order is
-             unchanged. *)
-          List.iter
-            (fun st ->
-              if vm_running st then begin
-                let snap = st.ff_snap.(parity) in
-                let threads = st.spec.Config.threads in
-                for t = 0 to threads - 1 do
-                  if snap.sn_doit.(t) > 0.0 then begin
-                    let base = t * nodes in
-                    let src = st.thread_node.(t) in
-                    for n = 0 to nodes - 1 do
-                      if snap.sn_dst.(base + n) > 0.0 then
-                        Numa.Counters.record_accesses counters ~src ~dst:n
-                          ~count:snap.sn_dst.(base + n) ~bytes_per_access:access_bytes
-                    done
-                  end
-                done
-              end)
-            states;
+              ff_restore st st.ff_snap.(parity);
+              for t = 0 to st.spec.Config.threads - 1 do
+                if st.finish.(t) < 0.0 then
+                  st.sync_overhead <- st.sync_overhead +. st.thread_sync.(t);
+                if st.thread_doit.(t) > 0.0 then
+                  st.remaining.(t) <- st.remaining.(t) -. st.thread_final.(t)
+              done)
+            live;
+          (* The guard proved a steady-I/O epoch moves the captured
+             full-rate byte count, and an I/O-free one none. *)
+          List.iter (fun st -> disk_traffic cfg st counters ~bus_node ~node_demand) live;
+          List.iter (fun st -> commit_traffic counters st ~nodes) live;
           Numa.Counters.end_epoch counters ~duration:epoch_len;
-          (* Latency reduction replay: identical adds from the captured
-             per-thread totals and latencies.  Consecutive bitwise-equal
-             samples enter the histogram through one [add_n] — the sums
-             it updates see the very same addition sequence. *)
-          List.iter
-            (fun st ->
-              if vm_running st then begin
-                let snap = st.ff_snap.(parity) in
-                let threads = st.spec.Config.threads in
-                let run_v = ref 0.0 in
-                let run_n = ref 0 in
-                for t = 0 to threads - 1 do
-                  if snap.sn_total.(t) > 0.0 then begin
-                    let total = snap.sn_total.(t) in
-                    let lat = snap.sn_lat.(t) in
-                    st.weighted_lat <- st.weighted_lat +. (total *. lat);
-                    st.total_accesses <- st.total_accesses +. total;
-                    st.local_accesses <-
-                      st.local_accesses +. snap.sn_dst.((t * nodes) + st.thread_node.(t));
-                    if !run_n > 0 && Int64.bits_of_float lat = Int64.bits_of_float !run_v then
-                      incr run_n
-                    else begin
-                      if !run_n > 0 then Sim.Stats.Histogram.add_n st.lat_hist !run_v !run_n;
-                      run_v := lat;
-                      run_n := 1
-                    end
-                  end
-                done;
-                if !run_n > 0 then Sim.Stats.Histogram.add_n st.lat_hist !run_v !run_n;
-                (* SLO accounting replay: under the witnessed cycle the
-                   epoch's metric values — hence the captured verdicts —
-                   are what the full path would recompute. *)
-                if snap.sn_slo_active then begin
-                  st.active_epochs <- st.active_epochs + 1;
-                  Array.iteri
-                    (fun i v -> if v then st.slo_violations.(i) <- st.slo_violations.(i) + 1)
-                    snap.sn_slo_violate
-                end;
-                (* Keep the one live cross-epoch input phase-correct:
-                   the next full epoch's compute kernel reads
-                   [avg_lat], which must hold this (replayed) epoch's
-                   values, not the last full epoch's. *)
-                Array.blit snap.sn_lat 0 st.avg_lat 0 threads
-              end)
-            states)
+          List.iter (fun st -> reduce_latency cfg st ~nodes) live)
     end
     else begin
-    Array.fill node_demand 0 nodes 0.0;
     (* Credit-scheduler accounting period: rebalance unpinned vCPUs
        onto idle pCPUs.  The vCPU moves; its memory does not — exactly
        the hazard the paper's introduction describes for guest-visible
@@ -1567,20 +1502,21 @@ let run (cfg : Config.t) =
           Array.fill st.src_shared 0 nodes 0.0;
           st.shared_accesses_epoch <- 0.0;
           st.burst_accesses_epoch <- 0.0;
-          epoch_accesses.(vi) <- 0.0;
           let app = st.spec.Config.app in
           (* Track the live superpage fraction (splinters and promotes
-             move it); non-superpage runs keep the boot-time constant
-             bit for bit.  Under --pt-walk the radix model reprices the
-             walk from the page tables' current placement instead. *)
-          (match Policies.Manager.pt st.manager with
-          | Some pt when st.spec.Config.pt_walk ->
-              st.tlb_cycles_per_instr <-
-                tlb_cycles_per_instr_radix cfg st.spec st.domain ~pt
-                  ~thread_node:st.thread_node ~topo ~latency
-          | Some _ | None ->
-              if Policies.Manager.superpages_enabled st.manager then
-                st.tlb_cycles_per_instr <- tlb_cycles_per_instr_dynamic cfg st.spec st.domain);
+             move it); other runs keep the boot-time constant.  Under
+             --pt-walk the radix model also reprices the walk from the
+             page tables' current placement. *)
+          let level_ratio =
+            match Policies.Manager.pt st.manager with
+            | Some pt when st.spec.Config.pt_walk ->
+                Some (walk_level_ratio ~pt ~thread_node:st.thread_node ~topo ~latency)
+            | Some _ | None -> None
+          in
+          if Option.is_some level_ratio || Policies.Manager.superpages_enabled st.manager then
+            st.tlb_cycles_per_instr <-
+              tlb_cycles_per_instr cfg st.spec ~huge_fraction:(huge_fraction st.spec st.domain)
+                ?level_ratio ();
           let oh = epoch_sync_overhead cfg st in
           (* Carrefour's continuous hardware-counter sampling is not
              free: the paper observes it slightly degrades applications
@@ -1595,10 +1531,7 @@ let run (cfg : Config.t) =
               shard_dispatch team plans.(vi) ~threads (fun lo hi ->
                   epoch_compute_kernel st ~injector ~faults_on ~occupancy ~oh ~carrefour_tax
                     ~mr ~freq ~epoch_len ~lo ~hi));
-          let accesses_acc = ref epoch_accesses.(vi) in
-          Obs.Profile.span Obs.Profile.Reduce (fun () ->
-              reduce_epoch_traffic st ~threads ~accesses_acc);
-          epoch_accesses.(vi) <- !accesses_acc;
+          Obs.Profile.span Obs.Profile.Reduce (fun () -> reduce_epoch_traffic st ~threads);
           disk_traffic cfg st counters ~bus_node ~node_demand
         end)
       states;
@@ -1660,20 +1593,7 @@ let run (cfg : Config.t) =
                       end
                     end
                   done));
-          (* Commit the realized traffic to the hardware counters — a
-             cross-vCPU float accumulation, so vCPU order, sequential. *)
-          Obs.Profile.span Obs.Profile.Reduce (fun () ->
-              for t = 0 to threads - 1 do
-                if st.thread_doit.(t) > 0.0 then begin
-                  let base = t * nodes in
-                  let src = st.thread_node.(t) in
-                  for n = 0 to nodes - 1 do
-                    if st.thread_dst.(base + n) > 0.0 then
-                      Numa.Counters.record_accesses counters ~src ~dst:n
-                        ~count:st.thread_dst.(base + n) ~bytes_per_access:access_bytes
-                  done
-                end
-              done)
+          Obs.Profile.span Obs.Profile.Reduce (fun () -> commit_traffic counters st ~nodes)
         end)
       states;
     Numa.Counters.end_epoch counters ~duration:epoch_len;
@@ -1715,55 +1635,7 @@ let run (cfg : Config.t) =
                       st.avg_lat.(t) <- !lat
                     end
                   done));
-          Obs.Profile.span Obs.Profile.Reduce (fun () ->
-              (* Sequential fixed-order reduction; also the one place
-                 latency samples are recorded, so the histogram (and
-                 everything derived from it) is bit-identical whatever
-                 the shard schedule. *)
-              let running = ref 0 in
-              let ep_wlat = ref 0.0 in
-              let ep_total = ref 0.0 in
-              for t = 0 to threads - 1 do
-                if st.thread_total.(t) > 0.0 then begin
-                  let total = st.thread_total.(t) in
-                  st.weighted_lat <- st.weighted_lat +. (total *. st.avg_lat.(t));
-                  st.total_accesses <- st.total_accesses +. total;
-                  st.local_accesses <-
-                    st.local_accesses +. st.thread_dst.((t * nodes) + st.thread_node.(t));
-                  Sim.Stats.Histogram.add st.lat_hist st.avg_lat.(t);
-                  st.slo_scratch.(!running) <- st.avg_lat.(t);
-                  incr running;
-                  ep_wlat := !ep_wlat +. (total *. st.avg_lat.(t));
-                  ep_total := !ep_total +. total
-                end
-              done;
-              (* Per-epoch SLO accounting: purely observational reads
-                 of the epoch's latencies — no RNG, no traffic, no
-                 trace — so a run with objectives stays bit-identical
-                 to one without. *)
-              st.ff_slo_active <- cfg.Config.slo <> [] && !running > 0;
-              if st.ff_slo_active then begin
-                st.active_epochs <- st.active_epochs + 1;
-                let samples = Array.sub st.slo_scratch 0 !running in
-                List.iteri
-                  (fun i (metric, target) ->
-                    let value =
-                      match metric with
-                      | "mean" -> !ep_wlat /. !ep_total
-                      | "p50" -> Sim.Stats.percentile samples 50.0
-                      | "p95" -> Sim.Stats.percentile samples 95.0
-                      | "p99" -> Sim.Stats.percentile samples 99.0
-                      | "p999" -> Sim.Stats.percentile samples 99.9
-                      | m -> invalid_arg ("Runner: unknown SLO metric " ^ m)
-                    in
-                    (* Verdicts are remembered so a replayed epoch can
-                       bump the same counters without re-deriving the
-                       percentiles (identical under quiescence). *)
-                    let violated = value > target in
-                    st.ff_slo_violate.(i) <- violated;
-                    if violated then st.slo_violations.(i) <- st.slo_violations.(i) + 1)
-                  cfg.Config.slo
-              end);
+          Obs.Profile.span Obs.Profile.Reduce (fun () -> reduce_latency cfg st ~nodes);
           (* Fault-mode page churn: real alloc/release traffic through
              the pv queue, so op drops and lost batches leave stale P2M
              entries for the reconciliation sweep to heal. *)
@@ -1826,21 +1698,18 @@ let run (cfg : Config.t) =
                 | Some _ -> refresh_placement st
                 | None -> ());
           (* Arming check and capture.  The structural clauses prove
-             nothing moved this epoch's inputs (the P2M version covers
-             every mapping mutation — placement, migration, splinter,
-             promote; the finish count covers occupancy; I/O must have
-             drained so dom0 stays idle and disk DMA silent; superpage
-             VMs additionally need the manager quiescent, because their
-             clean-path [epoch_tick] is skipped during replay and must
-             be a provable no-op).  A structurally clean epoch is then
-             captured into the snapshot of its parity; it ARMS the
-             fast-forward when it bitwise reproduced the same-parity
-             capture of two epochs before — the witness that the
-             latency feedback settled into its (period ≤ 2) limit
-             cycle.  Any unclean epoch stales both captures, so a
-             fresh witness always spans consecutive clean epochs.  By
-             induction, every subsequent guarded epoch then reproduces
-             the opposite-parity capture's floats exactly. *)
+             nothing moved this epoch's inputs: the P2M version covers
+             every mapping mutation (placement, migration, splinter,
+             promote), the finish count covers occupancy, disk DMA is
+             idle or at its full steady rate, and superpage VMs need
+             the manager quiescent because replay skips their
+             [epoch_tick].  A clean epoch is captured into the snapshot
+             of its parity and ARMS the fast-forward when it bitwise
+             reproduced that snapshot from two epochs before — the
+             witness that the latency feedback settled into its
+             (period ≤ 2) limit cycle.  An unclean epoch stales both
+             captures, so a witness always spans consecutive clean
+             epochs. *)
           if ff_active then begin
             let clean =
               Xen.P2m.version st.domain.Xen.Domain.p2m = st.ff_p2m_version
@@ -1850,16 +1719,13 @@ let run (cfg : Config.t) =
                  || st.ff_io
                     = st.spec.Config.app.Workloads.App.disk_mb_s *. 1e6 *. cfg.Config.epoch)
               && st.migrations = st.ff_migrations
-              && (let fin = ref 0 in
-                  Array.iter (fun f -> if f >= 0.0 then incr fin) st.finish;
-                  !fin = st.ff_finished)
+              && finished_count st = st.ff_finished
               && ((not (Policies.Manager.superpages_enabled st.manager))
                  || Policies.Manager.quiescent st.manager)
             in
             if not clean then begin
               st.ff_armed <- false;
-              st.ff_snap.(0).sn_epoch <- -1;
-              st.ff_snap.(1).sn_epoch <- -1
+              Array.iter (fun snap -> snap.sn_epoch <- -1) st.ff_snap
             end
             else begin
               let snap = st.ff_snap.(!epochs land 1) in
@@ -1869,26 +1735,9 @@ let run (cfg : Config.t) =
                 && (!epochs - snap.sn_epoch) land 1 = 0
                 && other.sn_epoch >= 0
                 && (!epochs - other.sn_epoch) land 1 = 1
-                && arrays_bits_equal snap.sn_lat st.avg_lat
-                && arrays_bits_equal snap.sn_dst st.thread_dst
-                && arrays_bits_equal snap.sn_total st.thread_total
-                && arrays_bits_equal snap.sn_sync st.thread_sync
-                && arrays_bits_equal snap.sn_doit st.thread_doit
-                && arrays_bits_equal snap.sn_cap st.thread_cap
-                && arrays_bits_equal snap.sn_final st.thread_final
-                && Int64.bits_of_float snap.sn_io = Int64.bits_of_float st.ff_io;
+                && ff_matches st snap;
               snap.sn_epoch <- !epochs;
-              Array.blit st.thread_sync 0 snap.sn_sync 0 threads;
-              Array.blit st.thread_doit 0 snap.sn_doit 0 threads;
-              Array.blit st.thread_cap 0 snap.sn_cap 0 threads;
-              Array.blit st.thread_final 0 snap.sn_final 0 threads;
-              Array.blit st.thread_total 0 snap.sn_total 0 threads;
-              Array.blit st.avg_lat 0 snap.sn_lat 0 threads;
-              Array.blit st.thread_dst 0 snap.sn_dst 0 (threads * nodes);
-              snap.sn_io <- st.ff_io;
-              snap.sn_slo_active <- st.ff_slo_active;
-              Array.blit st.ff_slo_violate 0 snap.sn_slo_violate 0
-                (Array.length st.ff_slo_violate)
+              ff_capture st snap
             end
           end
         end)
@@ -1903,12 +1752,7 @@ let run (cfg : Config.t) =
     | Some observer ->
         let progress st =
           let total = Array.fold_left ( +. ) 0.0 st.remaining in
-          let work =
-            float_of_int st.spec.Config.threads
-            *. Workloads.App.instructions_per_thread st.spec.Config.app
-                 ~threads:st.spec.Config.threads
-                 ~freq_hz:cfg.Config.machine.Numa.Machine_desc.freq_hz
-          in
+          let work = st.work_per_thread *. float_of_int st.spec.Config.threads in
           Float.max 0.0 (Float.min 1.0 (1.0 -. (total /. work)))
         in
         observer

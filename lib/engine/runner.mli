@@ -19,11 +19,13 @@ val run : Config.t -> Result.t
     Steady state is fast-forwarded by default
     ({!Config.t.fast_forward}): when an epoch's inputs provably
     reached a fixed point — no P2M mutation, no phase rotation or
-    burst, no thread started or finished, I/O drained, latency
+    burst, no thread started or finished, disk I/O idle or at full
+    rate, latency
     feedback bitwise converged, no Carrefour/promotion/fault boundary
-    due — the runner replays the armed epoch's captured float deltas
-    by identical additions in identical order instead of re-running
-    the O(threads×nodes) kernels.  Results and traces are
+    due — the runner restores the kernels' per-vCPU outputs captured
+    at the same-parity epoch instead of re-running the
+    O(threads×nodes) kernels, and commits them through the full
+    epoch's own traffic and latency stages.  Results and traces are
     bit-identical to the naive loop; only
     {!Result.t.replayed_epochs} tells the difference. *)
 

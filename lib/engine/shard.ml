@@ -5,5 +5,3 @@ let partition ~count ~shards =
   if shards < 1 then invalid_arg "Shard.partition: shards must be >= 1";
   let k = max 1 (min shards count) in
   Array.init k (fun s -> { lo = s * count / k; hi = (s + 1) * count / k })
-
-let streams rng ~count = Array.init count (fun v -> Sim.Rng.derive rng ~id:v)

@@ -5,12 +5,7 @@
     single output bit, the vCPU index space is cut into contiguous
     ranges that depend only on (vCPU count, shard count) — never on
     scheduling — and every cross-vCPU accumulation is kept out of the
-    kernel, done afterwards in one sequential vCPU-order reduction.
-
-    Per-vCPU randomness follows the same discipline: streams come from
-    {!Sim.Rng.derive}, a pure function of (parent state, vCPU id), so
-    vCPU [v]'s stream is the same object whether the kernel runs on
-    one shard or eight, and whichever shard [v] lands on. *)
+    kernel, done afterwards in one sequential vCPU-order reduction. *)
 
 type range = { lo : int; hi : int }
 (** Half-open: the shard owns vCPUs [lo .. hi-1]. *)
@@ -22,8 +17,3 @@ val partition : count:int -> shards:int -> range array
     [min shards count] elements ([max 1] of them, a single possibly
     empty range when [count = 0]).  A pure function of its arguments —
     the same partition on every run, every host. *)
-
-val streams : Sim.Rng.t -> count:int -> Sim.Rng.t array
-(** [streams rng ~count] is the per-vCPU stream family
-    [Sim.Rng.derive rng ~id:v] for [v] in [0 .. count-1].  [rng] is
-    not advanced. *)

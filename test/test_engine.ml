@@ -258,51 +258,6 @@ let prop_partition_covers =
       let mn = Array.fold_left min max_int sizes and mx = Array.fold_left max 0 sizes in
       mx - mn <= 1)
 
-(* The per-vCPU streams are a pure function of (parent state, vCPU id):
-   deriving them does not advance the parent, and the stream a vCPU
-   gets is the same whatever partition its index lands in. *)
-let prop_streams_partition_invariant =
-  QCheck.Test.make ~name:"per-vCPU streams invariant under partitioning" ~count:200
-    QCheck.(triple int (int_range 1 48) (pair (int_range 1 8) (int_range 1 8)))
-    (fun (seed, count, (shards_a, shards_b)) ->
-      let mk () = Sim.Rng.create ~seed in
-      let parent_a = mk () and parent_b = mk () in
-      let streams_a = Engine.Shard.streams parent_a ~count in
-      let streams_b = Engine.Shard.streams parent_b ~count in
-      (* Consume each family in its partition's shard order — shard by
-         shard, ascending inside a shard — under two different shard
-         counts; every vCPU must still observe its own draws. *)
-      let draw streams ranges =
-        let out = Array.make count 0 in
-        Array.iter
-          (fun r ->
-            for v = r.Engine.Shard.lo to r.Engine.Shard.hi - 1 do
-              out.(v) <- Sim.Rng.int streams.(v) 1_000_000
-            done)
-          ranges;
-        out
-      in
-      let a = draw streams_a (Engine.Shard.partition ~count ~shards:shards_a) in
-      let b = draw streams_b (Engine.Shard.partition ~count ~shards:shards_b) in
-      (* ...and deriving must not have advanced the parents. *)
-      a = b && Sim.Rng.int parent_a 1_000_000 = Sim.Rng.int parent_b 1_000_000)
-
-(* Distinct vCPUs get distinct streams (no aliasing, no collisions in
-   practice for small families). *)
-let prop_streams_distinct =
-  QCheck.Test.make ~name:"per-vCPU streams are distinct" ~count:200
-    QCheck.(pair int (int_range 2 48))
-    (fun (seed, count) ->
-      let streams = Engine.Shard.streams (Sim.Rng.create ~seed) ~count in
-      let draws = Array.map (fun s -> Sim.Rng.bits64 s) streams in
-      let sorted = Array.copy draws in
-      Array.sort compare sorted;
-      let dup = ref false in
-      for i = 1 to count - 1 do
-        if sorted.(i) = sorted.(i - 1) then dup := true
-      done;
-      not !dup)
-
 (* The acceptance property of the whole tentpole: a sharded run's
    result record — every reduced accumulator, completion, latency,
    local fraction — is structurally identical (floats compared
@@ -338,27 +293,33 @@ let test_sharded_faults_identical () =
 
 (* ---------------------------- fast-forward --------------------------- *)
 
-(* The fast-forward acceptance property: with quiescence-tracked delta
+(* The fast-forward acceptance property: with quiescence-tracked
    replay on, every reduced field of the result record — completions,
-   latencies, histograms, local fractions — is structurally identical
-   (floats compared bitwise) to the naive run's; only the
-   [replayed_epochs] accounting may differ.  Randomised over policy,
-   superpages, pt-walk, inner-jobs and seed so replay is exercised
-   under Carrefour decade boundaries, promote scans and sharding. *)
+   latencies, histograms, local fractions, SLO verdicts — is
+   structurally identical (floats compared bitwise) to the naive run's;
+   only the [replayed_epochs] accounting may differ.  Randomised over
+   policy, superpages, pt-walk, inner-jobs, seed, SLO objectives and a
+   disk-I/O app beside a compute-only one, so replay is exercised under
+   Carrefour decade boundaries, promote scans, sharding, per-epoch SLO
+   verdicts and steady disk DMA. *)
 let prop_ff_run_identical =
+  let metrics = [ "mean"; "p50"; "p95"; "p99"; "p999" ] in
+  let slo_gen =
+    QCheck.(small_list (pair (oneofl ~print:Fun.id metrics) (float_range 150.0 400.0)))
+  in
   QCheck.Test.make ~name:"fast-forward result equals naive" ~count:6
-    QCheck.(quad (int_range 0 9) (int_range 1 4) (int_range 0 1000) bool)
-    (fun (policy_idx, inner_jobs, seed, superpages) ->
+    QCheck.(
+      pair (quad (int_range 0 9) (int_range 1 4) (int_range 0 1000) bool) (pair slo_gen bool))
+    (fun ((policy_idx, inner_jobs, seed, superpages), (slo, disk_app)) ->
       let policy =
         List.nth Policies.Spec.all (policy_idx mod List.length Policies.Spec.all)
       in
       let pt_walk = seed mod 2 = 0 in
+      let app_name = if disk_app then "cassandra" else "swaptions" in
       let cell fast_forward =
-        let vm =
-          Engine.Config.vm ~threads:7 ~superpages ~pt_walk ~policy (app "swaptions")
-        in
+        let vm = Engine.Config.vm ~threads:7 ~superpages ~pt_walk ~policy (app app_name) in
         Engine.Runner.run
-          (Engine.Config.make ~seed ~max_epochs:60 ~inner_jobs ~fast_forward
+          (Engine.Config.make ~seed ~max_epochs:60 ~inner_jobs ~slo ~fast_forward
              ~mode:Engine.Config.Xen_plus [ vm ])
       in
       let ff = cell true and naive = cell false in
@@ -487,8 +448,6 @@ let suite =
     ( "engine.shard",
       [
         qcheck prop_partition_covers;
-        qcheck prop_streams_partition_invariant;
-        qcheck prop_streams_distinct;
         qcheck prop_sharded_run_identical;
         Alcotest.test_case "faults force unsharded" `Quick test_sharded_faults_identical;
       ] );

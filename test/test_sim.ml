@@ -181,6 +181,38 @@ let prop_stats_percentile_monotone =
       let lo = Float.min p1 p2 and hi = Float.max p1 p2 in
       Sim.Stats.percentile a lo <= Sim.Stats.percentile a hi +. 1e-9)
 
+(* [Histogram.add_n h v n] must leave [h] exactly as [n] calls of
+   [add h v] would: the engine's latency reduction groups runs of
+   bitwise-equal samples into one [add_n]. *)
+let prop_histogram_add_n_equals_adds =
+  QCheck.Test.make ~name:"histogram add_n equals n adds" ~count:300
+    QCheck.(
+      pair
+        (small_list (pair (float_range 0.0 1000.0) (int_range 0 5)))
+        (list_of_size (Gen.int_range 0 4)
+           (pair (oneofl [ 0.0; 1.0; 190.0; 312.5 ]) (int_range 0 5))))
+    (fun (runs, exact) ->
+      let runs = runs @ exact in
+      let grouped = Sim.Stats.Histogram.create () in
+      let single = Sim.Stats.Histogram.create () in
+      List.iter
+        (fun (v, n) ->
+          Sim.Stats.Histogram.add_n grouped v n;
+          for _ = 1 to n do
+            Sim.Stats.Histogram.add single v
+          done)
+        runs;
+      let module H = Sim.Stats.Histogram in
+      H.count grouped = H.count single
+      && Int64.bits_of_float (H.total grouped) = Int64.bits_of_float (H.total single)
+      && Int64.bits_of_float (H.min grouped) = Int64.bits_of_float (H.min single)
+      && Int64.bits_of_float (H.max grouped) = Int64.bits_of_float (H.max single)
+      && List.for_all
+           (fun p ->
+             Int64.bits_of_float (H.percentile grouped p)
+             = Int64.bits_of_float (H.percentile single p))
+           [ 0.0; 1.0; 50.0; 90.0; 99.0; 99.9; 100.0 ])
+
 (* ------------------------------ eventq ---------------------------- *)
 
 let test_eventq_order () =
@@ -390,6 +422,7 @@ let suite =
         Alcotest.test_case "online matches batch" `Quick test_stats_online_matches_batch;
         qcheck prop_stats_relative_stddev_scale_invariant;
         qcheck prop_stats_percentile_monotone;
+        qcheck prop_histogram_add_n_equals_adds;
       ] );
     ( "stats.topk",
       [

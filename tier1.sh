@@ -69,6 +69,19 @@ if dune exec bench/main.exe -- tab1 --jobs banana >/dev/null 2>&1; then
   exit 1
 fi
 
+# A thread count the host cannot pin is a usage error with a message,
+# never an uncaught exception.
+for t in 0 100; do
+  if dune exec bin/xen_numa_sim.exe -- run swaptions --threads "$t" >/dev/null 2>&1; then
+    echo "tier1: FAIL - run --threads $t did not exit non-zero" >&2
+    exit 1
+  fi
+  if dune exec bin/xen_numa_sim.exe -- run swaptions --threads "$t" 2>&1 | grep -q "internal error"; then
+    echo "tier1: FAIL - run --threads $t crashed instead of reporting a usage error" >&2
+    exit 1
+  fi
+done
+
 # Trace determinism smoke: the same grid traced at --jobs 1 and
 # --jobs 4 must export byte-identical JSONL (streams are merged by
 # config-derived label, never by worker schedule), every line must be
@@ -175,6 +188,22 @@ cmp "$TRACE_DIR/ffcon.jsonl" "$TRACE_DIR/ffcoff.jsonl" || {
   echo "tier1: FAIL - carrefour-cell traces differ between fast-forward on and off" >&2
   exit 1
 }
+# SLO verdicts and latency percentiles live in the printed result, not
+# in the trace: one disk-I/O cell with objectives must print the same
+# result either way, once the "(N replayed)" suffix is stripped.
+STRIP_FF='s/ ([0-9]* replayed)//; /^trace written to /d'
+dune exec bin/xen_numa_sim.exe -- run cassandra -m xen+ -p round-1g --slo p99=500,mean=300 \
+  --trace "$TRACE_DIR/ffdon.jsonl" | sed "$STRIP_FF" > "$TRACE_DIR/ffdon.txt"
+dune exec bin/xen_numa_sim.exe -- run cassandra -m xen+ -p round-1g --slo p99=500,mean=300 \
+  --no-fast-forward --trace "$TRACE_DIR/ffdoff.jsonl" | sed "$STRIP_FF" > "$TRACE_DIR/ffdoff.txt"
+cmp "$TRACE_DIR/ffdon.jsonl" "$TRACE_DIR/ffdoff.jsonl" || {
+  echo "tier1: FAIL - disk/SLO-cell traces differ between fast-forward on and off" >&2
+  exit 1
+}
+cmp "$TRACE_DIR/ffdon.txt" "$TRACE_DIR/ffdoff.txt" || {
+  echo "tier1: FAIL - disk/SLO-cell results differ between fast-forward on and off" >&2
+  exit 1
+}
 echo "tier1: fast-forward trace equivalence OK"
 
 # Trace query engine smoke: the streaming query over the tab1 traces
@@ -249,8 +278,8 @@ dune exec test/test_main.exe -- test faults
 # whose free + allocated + offlined = total invariant covers page
 # offlining), the P2M superpage consistency invariant, the top-k heap
 # invariant, the batched-vs-per-page P2M equivalence, the intra-run
-# sharding invariants (partition tiling, per-vCPU stream independence,
-# sharded-equals-unsharded results), the evacuation
+# sharding invariants (partition tiling, sharded-equals-unsharded
+# results), the evacuation
 # frame-conservation property (post-drain P2M maps exactly the
 # pre-failure guest frames, none on an offlined mfn), the
 # replica-equivalence invariant (mirrors track the primary through any
