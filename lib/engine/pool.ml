@@ -26,24 +26,6 @@ let set_default_jobs n = Atomic.set default_override (Some (max 1 n))
 let default_jobs () =
   match Atomic.get default_override with Some n -> n | None -> available_jobs ()
 
-(* Default shard count for the intra-run epoch kernel (Runner's
-   [inner_jobs]); bit-identical at any value, so purely a performance
-   knob.  Settable by the bench/CLI drivers or XEN_NUMA_INNER_JOBS. *)
-let inner_override = Atomic.make None
-
-let set_default_inner_jobs n = Atomic.set inner_override (Some (max 1 n))
-
-let default_inner_jobs () =
-  match Atomic.get inner_override with
-  | Some n -> n
-  | None -> (
-      match Sys.getenv_opt "XEN_NUMA_INNER_JOBS" with
-      | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some n when n >= 1 -> n
-          | Some _ | None -> 1)
-      | None -> 1)
-
 (* Domains above the hardware parallelism cannot run concurrently —
    they time-slice the same cores while still paying the stop-the-world
    minor-GC synchronisation of every live domain, which on a saturated
@@ -125,123 +107,3 @@ let run_all ?jobs tasks =
 let map_array ?jobs f a = run_all ?jobs (Array.map (fun x () -> f x) a)
 
 let map_list ?jobs f l = Array.to_list (map_array ?jobs f (Array.of_list l))
-
-(* ------------------------------------------------------------------ *)
-(* Persistent teams (intra-run sharding)                               *)
-(* ------------------------------------------------------------------ *)
-
-module Team = struct
-  type t = {
-    size : int;
-    mutex : Mutex.t;
-    start : Condition.t;
-    finished : Condition.t;
-    mutable generation : int;
-    mutable job : (int -> unit) option;
-    mutable completed : int;
-    mutable stop : bool;
-    mutable failure : (exn * Printexc.raw_backtrace) option;
-    mutable members : unit Domain.t array;
-  }
-
-  let worker t rank =
-    let my_gen = ref 0 in
-    let running = ref true in
-    while !running do
-      Mutex.lock t.mutex;
-      while t.generation = !my_gen && not t.stop do
-        Condition.wait t.start t.mutex
-      done;
-      if t.stop then begin
-        Mutex.unlock t.mutex;
-        running := false
-      end
-      else begin
-        my_gen := t.generation;
-        let job = t.job in
-        Mutex.unlock t.mutex;
-        let failure =
-          match job with
-          | None -> None
-          | Some f -> (
-              try
-                f rank;
-                None
-              with exn -> Some (exn, Printexc.get_raw_backtrace ()))
-        in
-        Mutex.lock t.mutex;
-        (match failure with
-        | Some _ when t.failure = None -> t.failure <- failure
-        | _ -> ());
-        t.completed <- t.completed + 1;
-        if t.completed = t.size - 1 then Condition.signal t.finished;
-        Mutex.unlock t.mutex
-      end
-    done
-
-  let create ~workers =
-    let size = max 1 workers in
-    let t =
-      {
-        size;
-        mutex = Mutex.create ();
-        start = Condition.create ();
-        finished = Condition.create ();
-        generation = 0;
-        job = None;
-        completed = 0;
-        stop = false;
-        failure = None;
-        members = [||];
-      }
-    in
-    if size > 1 then
-      t.members <- Array.init (size - 1) (fun i -> Domain.spawn (fun () -> worker t (i + 1)));
-    t
-
-  let size t = t.size
-
-  let run t f =
-    if t.size = 1 then f 0
-    else begin
-      Mutex.lock t.mutex;
-      t.job <- Some f;
-      t.completed <- 0;
-      t.failure <- None;
-      t.generation <- t.generation + 1;
-      Condition.broadcast t.start;
-      Mutex.unlock t.mutex;
-      (* The caller is member 0; its exception is held until the other
-         members drain — they may still be writing their shards. *)
-      let caller_failure =
-        try
-          f 0;
-          None
-        with exn -> Some (exn, Printexc.get_raw_backtrace ())
-      in
-      Mutex.lock t.mutex;
-      while t.completed < t.size - 1 do
-        Condition.wait t.finished t.mutex
-      done;
-      t.job <- None;
-      let worker_failure = t.failure in
-      Mutex.unlock t.mutex;
-      match (caller_failure, worker_failure) with
-      | Some (exn, bt), _ | None, Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-      | None, None -> ()
-    end
-
-  let shutdown t =
-    if t.size > 1 then begin
-      Mutex.lock t.mutex;
-      t.stop <- true;
-      Condition.broadcast t.start;
-      Mutex.unlock t.mutex;
-      Array.iter Domain.join t.members;
-      t.members <- [||]
-    end
-
-  let with_team ~workers f =
-    let t = create ~workers in
-    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-end

@@ -36,7 +36,7 @@ let no_degradation =
 (* Tail of the per-domain latency distribution: percentiles over the
    run's log-bucket histogram of per-vCPU-per-epoch mean latencies,
    recorded in the runner's sequential reduction (so bit-identical
-   across --jobs / --inner-jobs). *)
+   across --jobs). *)
 type latency_summary = {
   samples : int;
   lat_mean : float;

@@ -22,8 +22,7 @@ val no_degradation : degradation
 (** Tail of the per-domain latency distribution: percentiles over the
     run's log-bucket histogram of per-vCPU-per-epoch mean memory
     latencies.  Samples are recorded in the runner's sequential
-    reduction, so the summary is bit-identical across [--jobs] and
-    [--inner-jobs]. *)
+    reduction, so the summary is bit-identical across [--jobs]. *)
 type latency_summary = {
   samples : int;  (** running-vCPU epoch samples (0 = no work ran) *)
   lat_mean : float;

@@ -20,17 +20,16 @@ type region = {
 
 (* The per-vCPU epoch state lives in flat structure-of-arrays form,
    indexed by vCPU (row [t * nodes .. t * nodes + nodes - 1] of
-   [thread_dst] is vCPU [t]'s destination spread): the epoch kernel
-   walks contiguous memory, and a [Shard.range] of vCPUs owns a
-   contiguous slice that another shard never writes.
+   [thread_dst] is vCPU [t]'s destination spread), so the epoch
+   kernels walk contiguous memory.
 
-   Sharding discipline: the kernel writes {e only} vCPU-indexed slots
-   of its own range; every accumulation that crosses vCPUs
-   ([src_shared], [shared_accesses_epoch], the counters, [weighted_lat]
-   ...) reads those slots afterwards in one sequential vCPU-order
-   reduction.  Float addition is not associative, so the reduction
-   order — vCPU 0, 1, 2, ... — is the contract that makes every
-   [inner_jobs] value produce the same bits as the unsharded loop. *)
+   Kernel / reduction split: the kernels write {e only} vCPU-indexed
+   slots; every accumulation that crosses vCPUs ([src_shared],
+   [shared_accesses_epoch], the counters, [weighted_lat] ...) reads
+   those slots afterwards in one sequential vCPU-order reduction, which
+   the fast-forward replay reuses.  Float addition is not associative,
+   so the reduction order — vCPU 0, 1, 2, ... — is part of the result:
+   it is the summation tree the recorded digests were taken with. *)
 type vm_state = {
   spec : Config.vm_spec;
   domain : Xen.Domain.t;
@@ -90,8 +89,8 @@ type vm_state = {
   mutable total_accesses : float;
   mutable local_accesses : float;
   (* Tail-latency observability: one per-vCPU-per-epoch sample of the
-     epoch's mean latency, recorded in the sequential reduction so the
-     distribution is bit-identical across --jobs / --inner-jobs. *)
+     epoch's mean latency, recorded in the sequential vCPU-order
+     reduction, so the distribution is bit-identical across --jobs. *)
   lat_hist : Sim.Stats.Histogram.t;
   slo_scratch : float array;  (* running vCPUs' epoch latencies *)
   slo_violations : int array;  (* per cfg.slo objective, spec order *)
@@ -557,9 +556,8 @@ let epoch_sync_overhead cfg st =
   Float.min (0.85 *. cfg.Config.epoch) (total /. threads)
 
 (* Distribute one thread's epoch accesses over destination nodes.
-   Shard-safe: writes only vCPU [t]'s row and [t]-indexed slots; the
-   shared-region and burst totals are folded in later by
-   [reduce_epoch_traffic]. *)
+   Writes only vCPU [t]'s row and [t]-indexed slots; the shared-region
+   and burst totals are folded in later by [reduce_epoch_traffic]. *)
 let distribute_thread st t ~accesses =
   let app = st.spec.Config.app in
   let nodes = Array.length st.src_shared in
@@ -591,15 +589,14 @@ let distribute_thread st t ~accesses =
   st.thread_shared.(t) <- acc_shared
 
 (* The compute half of the epoch: capacity, instructions and the
-   destination spread of vCPUs [lo .. hi-1].  Everything written is
-   indexed by the vCPU, so disjoint ranges commute; everything read
-   ([occupancy], the region weights, the epoch parameters) is fixed
-   for the epoch.  The injected-stall draw is the one exception —
-   it consumes the injector's shared stream in vCPU order — so fault
-   runs always call this with the full range on one shard. *)
+   destination spread of every running vCPU, in vCPU order.  Everything
+   written is indexed by the vCPU; everything read ([occupancy], the
+   region weights, the epoch parameters) is fixed for the epoch.  The
+   injected-stall draw consumes the injector's shared stream, one draw
+   per running vCPU in vCPU order. *)
 let epoch_compute_kernel st ~injector ~faults_on ~occupancy ~oh ~carrefour_tax ~mr ~freq
-    ~epoch_len ~lo ~hi =
-  for t = lo to hi - 1 do
+    ~epoch_len ~threads =
+  for t = 0 to threads - 1 do
     if st.finish.(t) < 0.0 then begin
       if faults_on && Faults.Injector.vcpu_stalls injector then
         (* Injected stall: the vCPU makes no progress this epoch; the
@@ -625,7 +622,7 @@ let epoch_compute_kernel st ~injector ~faults_on ~occupancy ~oh ~carrefour_tax ~
   done
 
 (* Fixed-order reduction over the kernel's per-vCPU slots: vCPU 0
-   first, always — the summation tree of the unsharded loop. *)
+   first, always. *)
 let reduce_epoch_traffic st ~threads =
   for t = 0 to threads - 1 do
     if st.finish.(t) < 0.0 then st.sync_overhead <- st.sync_overhead +. st.thread_sync.(t);
@@ -665,7 +662,7 @@ let slo_value metric ~mean ~percentile =
 
 (* Sequential fixed-order latency reduction; also the one place
    latency samples are recorded, so the histogram (and everything
-   derived from it) is bit-identical whatever the shard schedule.
+   derived from it) follows one vCPU order on every run.
    Consecutive bitwise-equal samples enter the histogram through one
    [add_n], which leaves the same bits as that many [add]s.  The
    per-epoch SLO accounting is purely observational — no RNG, no
@@ -1122,21 +1119,6 @@ let vm_result cfg system st =
 (* Main loop                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Run a vCPU-indexed kernel over a shard plan: ranges beyond the
-   first go to the team members, range 0 (or everything, without a
-   team) runs on the calling domain.  [Pool.Team.run] is a full
-   barrier, so the sequential reduction that follows a dispatch reads
-   fully published shard slices. *)
-let shard_dispatch team (ranges : Shard.range array) ~threads f =
-  match team with
-  | Some tm when Array.length ranges > 1 ->
-      Pool.Team.run tm (fun rank ->
-          if rank < Array.length ranges then begin
-            let r = ranges.(rank) in
-            f r.Shard.lo r.Shard.hi
-          end)
-  | _ -> f 0 threads
-
 let run (cfg : Config.t) =
   let scale = Config.page_scale cfg in
   let machine_desc = cfg.Config.machine in
@@ -1220,22 +1202,6 @@ let run (cfg : Config.t) =
     | [ n ] -> n
     | [] -> 0
   in
-  (* Intra-run sharding: one persistent team for the whole run (a
-     Domain.spawn per epoch would dwarf the kernel).  Fault runs force
-     inner_jobs down to 1 — the stall draw consumes the injector's
-     shared stream in vCPU order, which sharding cannot reproduce. *)
-  let inner_jobs = if faults_on then 1 else max 1 cfg.Config.inner_jobs in
-  let max_threads = List.fold_left (fun a st -> max a st.spec.Config.threads) 1 states in
-  let team =
-    if inner_jobs > 1 && max_threads > 1 then
-      Some (Pool.Team.create ~workers:(min inner_jobs max_threads))
-    else None
-  in
-  let shards = match team with Some tm -> Pool.Team.size tm | None -> 1 in
-  let plans =
-    Array.of_list
-      (List.map (fun st -> Shard.partition ~count:st.spec.Config.threads ~shards) states)
-  in
   let epoch_len = cfg.Config.epoch in
   let now = ref 0.0 in
   let epochs = ref 0 in
@@ -1259,8 +1225,7 @@ let run (cfg : Config.t) =
      one epoch every thread pair sharing (src, dst) sees the same
      cycles.  Filled eagerly each epoch — the values are a pure
      function of the topology and the counter snapshot, so eager and
-     lazy fills agree bit for bit, and an eager table lets the sharded
-     latency kernel read it without write races. *)
+     lazy fills agree bit for bit. *)
   let lat_memo = Array.make (nodes * nodes) 0.0 in
   let occupancy = Array.make (Array.length system.Xen.System.pcpu_load) 0 in
   let dom0_active = ref 0 in
@@ -1323,7 +1288,6 @@ let run (cfg : Config.t) =
       states;
     !h
   in
-  let main_loop () =
   while running () && !epochs < cfg.Config.max_epochs do
     (match obs_stream with
     | None -> ()
@@ -1377,8 +1341,7 @@ let run (cfg : Config.t) =
           List.iter (fun st -> Policies.Manager.cancel_evacuation st.manager ~node:n) states
         end
       done;
-      (* ECC: per-domain draws in VM order — sequential by
-         construction, since fault runs force [inner_jobs] to 1. *)
+      (* ECC: per-domain draws in VM order. *)
       List.iter
         (fun st ->
           if vm_running st then
@@ -1489,8 +1452,8 @@ let run (cfg : Config.t) =
            in
            min 6 (int_of_float (Float.round (pv_mb_s /. dom0_core_mb_s))));
     compute_occupancy ~occ:occupancy states ~dom0 ~dom0_active:!dom0_active;
-    List.iteri
-      (fun vi st ->
+    List.iter
+      (fun st ->
         if vm_running st then begin
           let threads = st.spec.Config.threads in
           (* reset per-epoch traffic *)
@@ -1528,9 +1491,8 @@ let run (cfg : Config.t) =
           Array.fill st.thread_doit 0 threads 0.0;
           Array.fill st.thread_cap 0 threads 0.0;
           Obs.Profile.span Obs.Profile.Kernel_compute (fun () ->
-              shard_dispatch team plans.(vi) ~threads (fun lo hi ->
-                  epoch_compute_kernel st ~injector ~faults_on ~occupancy ~oh ~carrefour_tax
-                    ~mr ~freq ~epoch_len ~lo ~hi));
+              epoch_compute_kernel st ~injector ~faults_on ~occupancy ~oh ~carrefour_tax ~mr
+                ~freq ~epoch_len ~threads);
           Obs.Profile.span Obs.Profile.Reduce (fun () -> reduce_epoch_traffic st ~threads);
           disk_traffic cfg st counters ~bus_node ~node_demand
         end)
@@ -1555,44 +1517,43 @@ let run (cfg : Config.t) =
         (if node_demand.(n) > node_capacity.(n) then node_capacity.(n) /. node_demand.(n)
          else 1.0)
     done;
-    List.iteri
-      (fun vi st ->
+    List.iter
+      (fun st ->
         if vm_running st then begin
           let threads = st.spec.Config.threads in
           let now_v = !now in
-          (* Shardable half: realized throughput, work retirement and
-             finish times are all vCPU-local (node_scale is fixed). *)
+          (* Throughput kernel: realized throughput, work retirement
+             and finish times are all vCPU-local (node_scale is fixed). *)
           Obs.Profile.span Obs.Profile.Kernel_throughput (fun () ->
-              shard_dispatch team plans.(vi) ~threads (fun lo hi ->
-                  for t = lo to hi - 1 do
-                    if st.thread_doit.(t) > 0.0 then begin
-                      let base = t * nodes in
-                      (* A sequential access stream advances at the pace of
-                         its most throttled destination. *)
-                      let realized = ref 1.0 in
-                      for n = 0 to nodes - 1 do
-                        if st.thread_dst.(base + n) > 1e-9 && node_scale.(n) < !realized then
-                          realized := node_scale.(n)
-                      done;
-                      let realized = !realized in
-                      let final = st.thread_doit.(t) *. realized in
-                      (* Captured for the fast-forward: the in-place
-                         [*. realized] scaling below loses [final]. *)
-                      st.thread_final.(t) <- final;
-                      st.remaining.(t) <- st.remaining.(t) -. final;
-                      if st.remaining.(t) <= 0.0 then
-                        st.finish.(t) <-
-                          now_v
-                          +. (epoch_len
-                             *. (final /. Float.max 1.0 (st.thread_cap.(t) *. realized)));
-                      if realized < 1.0 then begin
-                        st.thread_accesses.(t) <- st.thread_accesses.(t) *. realized;
-                        for n = 0 to nodes - 1 do
-                          st.thread_dst.(base + n) <- st.thread_dst.(base + n) *. realized
-                        done
-                      end
-                    end
-                  done));
+              for t = 0 to threads - 1 do
+                if st.thread_doit.(t) > 0.0 then begin
+                  let base = t * nodes in
+                  (* A sequential access stream advances at the pace of
+                     its most throttled destination. *)
+                  let realized = ref 1.0 in
+                  for n = 0 to nodes - 1 do
+                    if st.thread_dst.(base + n) > 1e-9 && node_scale.(n) < !realized then
+                      realized := node_scale.(n)
+                  done;
+                  let realized = !realized in
+                  let final = st.thread_doit.(t) *. realized in
+                  (* Captured for the fast-forward: the in-place
+                     [*. realized] scaling below loses [final]. *)
+                  st.thread_final.(t) <- final;
+                  st.remaining.(t) <- st.remaining.(t) -. final;
+                  if st.remaining.(t) <= 0.0 then
+                    st.finish.(t) <-
+                      now_v
+                      +. (epoch_len
+                         *. (final /. Float.max 1.0 (st.thread_cap.(t) *. realized)));
+                  if realized < 1.0 then begin
+                    st.thread_accesses.(t) <- st.thread_accesses.(t) *. realized;
+                    for n = 0 to nodes - 1 do
+                      st.thread_dst.(base + n) <- st.thread_dst.(base + n) *. realized
+                    done
+                  end
+                end
+              done);
           Obs.Profile.span Obs.Profile.Reduce (fun () -> commit_traffic counters st ~nodes)
         end)
       states;
@@ -1608,33 +1569,32 @@ let run (cfg : Config.t) =
         lat_memo.((src * nodes) + dst) <- Numa.Latency.mem_cycles latency ~hops ~saturation:sat
       done
     done;
-    List.iteri
-      (fun vi st ->
+    List.iter
+      (fun st ->
         if vm_running st then begin
           let threads = st.spec.Config.threads in
           Obs.Profile.span Obs.Profile.Kernel_latency (fun () ->
-              shard_dispatch team plans.(vi) ~threads (fun lo hi ->
-                  for t = lo to hi - 1 do
-                    let base = t * nodes in
-                    let total = ref 0.0 in
-                    for n = 0 to nodes - 1 do
-                      total := !total +. st.thread_dst.(base + n)
-                    done;
-                    let total = !total in
-                    st.thread_total.(t) <- total;
-                    if total > 0.0 then begin
-                      let src = st.thread_node.(t) in
-                      let lat = ref 0.0 in
-                      for n = 0 to nodes - 1 do
-                        if st.thread_dst.(base + n) > 0.0 then
-                          lat :=
-                            !lat
-                            +. (st.thread_dst.(base + n) /. total
-                               *. lat_memo.((src * nodes) + n))
-                      done;
-                      st.avg_lat.(t) <- !lat
-                    end
-                  done));
+              for t = 0 to threads - 1 do
+                let base = t * nodes in
+                let total = ref 0.0 in
+                for n = 0 to nodes - 1 do
+                  total := !total +. st.thread_dst.(base + n)
+                done;
+                let total = !total in
+                st.thread_total.(t) <- total;
+                if total > 0.0 then begin
+                  let src = st.thread_node.(t) in
+                  let lat = ref 0.0 in
+                  for n = 0 to nodes - 1 do
+                    if st.thread_dst.(base + n) > 0.0 then
+                      lat :=
+                        !lat
+                        +. (st.thread_dst.(base + n) /. total
+                           *. lat_memo.((src * nodes) + n))
+                  done;
+                  st.avg_lat.(t) <- !lat
+                end
+              done);
           Obs.Profile.span Obs.Profile.Reduce (fun () -> reduce_latency cfg st ~nodes);
           (* Fault-mode page churn: real alloc/release traffic through
              the pv queue, so op drops and lost batches leave stale P2M
@@ -1776,11 +1736,7 @@ let run (cfg : Config.t) =
           });
     incr epochs;
     now := !now +. epoch_len
-  done
-  in
-  (match team with
-  | None -> main_loop ()
-  | Some tm -> Fun.protect ~finally:(fun () -> Pool.Team.shutdown tm) main_loop);
+  done;
   let result =
     {
       Result.vms = List.map (vm_result cfg system) states;

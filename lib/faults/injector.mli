@@ -96,8 +96,7 @@ val ecc_events : t -> frames:int -> ecc_event list
 (** Per-epoch ECC draws for one domain of [frames] guest frames, in
     plan order.  Every armed ECC spec draws a bernoulli {e and} a
     uniform pfn whether or not it fires, so the stream advance is a
-    function of the plan and epoch alone.  Call from the sequential
-    section only (fault runs force [--inner-jobs 1]). *)
+    function of the plan and epoch alone. *)
 
 val stats : t -> stats
 val total_injected : t -> int

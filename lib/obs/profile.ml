@@ -5,7 +5,7 @@
 
    The profiler writes to the metrics registry only (via
    [commit_metrics]) and never into traces, so trace byte-equality
-   across --jobs / --inner-jobs is untouched.  When disabled, [span]
+   across --jobs is untouched.  When disabled, [span]
    is a single atomic read before the thunk runs — the same contract
    as the Metrics front doors. *)
 

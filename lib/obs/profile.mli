@@ -7,9 +7,9 @@
     untouched. *)
 
 type phase =
-  | Kernel_compute  (** sharded per-epoch compute kernel *)
-  | Kernel_throughput  (** sharded throughput/traffic kernel *)
-  | Kernel_latency  (** sharded weighted-latency kernel *)
+  | Kernel_compute  (** per-epoch compute kernel *)
+  | Kernel_throughput  (** throughput/traffic kernel *)
+  | Kernel_latency  (** weighted-latency kernel *)
   | Reduce  (** sequential fixed-order reductions *)
   | Carrefour_feed  (** per-epoch carrefour sample feed *)
   | P2m_batch  (** batched P2M invalidate/map/migrate replay *)

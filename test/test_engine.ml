@@ -32,6 +32,15 @@ let test_config_validation () =
   Alcotest.check_raises "bad threads" (Invalid_argument "Config.vm: threads must be positive")
     (fun () -> ignore (Engine.Config.vm ~threads:0 ~policy:Policies.Spec.first_touch (app "cg.C")))
 
+(* The epoch kernels run inline; [?inner_jobs] survives only as a
+   source-compatible label whose sole legal value is 1. *)
+let test_config_inner_jobs_only_one () =
+  let vms = [ Engine.Config.vm ~policy:Policies.Spec.first_touch (app "cg.C") ] in
+  ignore (Engine.Config.make ~inner_jobs:1 ~mode:Engine.Config.Linux vms);
+  Alcotest.check_raises "inner_jobs 2"
+    (Invalid_argument "Config.make: intra-run sharding was removed; inner_jobs must be 1")
+    (fun () -> ignore (Engine.Config.make ~inner_jobs:2 ~mode:Engine.Config.Linux vms))
+
 (* ---------------------------- determinism --------------------------- *)
 
 let test_runner_deterministic () =
@@ -230,78 +239,19 @@ let test_fewer_threads_slower () =
   let t12 = completion (run ~threads:12 "ep.D") in
   Alcotest.(check bool) "12 threads slower than 48" true (t12 > 2.0 *. t48)
 
-(* ------------------------------ sharding ---------------------------- *)
+(* ---------------------------- fast-forward --------------------------- *)
 
 let qcheck = QCheck_alcotest.to_alcotest
-
-(* Shard.partition tiles [0, count) with contiguous, ascending,
-   near-equal ranges — for every (count, shards). *)
-let prop_partition_covers =
-  QCheck.Test.make ~name:"partition tiles the vCPU range" ~count:500
-    QCheck.(pair (int_range 0 300) (int_range 1 32))
-    (fun (count, shards) ->
-      let ranges = Engine.Shard.partition ~count ~shards in
-      let k = Array.length ranges in
-      k = max 1 (min shards count)
-      && ranges.(0).Engine.Shard.lo = 0
-      && ranges.(k - 1).Engine.Shard.hi = count
-      && Array.for_all
-           (fun r -> r.Engine.Shard.lo <= r.Engine.Shard.hi)
-           ranges
-      && (let ok = ref true in
-          for s = 1 to k - 1 do
-            if ranges.(s).Engine.Shard.lo <> ranges.(s - 1).Engine.Shard.hi then ok := false
-          done;
-          !ok)
-      &&
-      let sizes = Array.map (fun r -> r.Engine.Shard.hi - r.Engine.Shard.lo) ranges in
-      let mn = Array.fold_left min max_int sizes and mx = Array.fold_left max 0 sizes in
-      mx - mn <= 1)
-
-(* The acceptance property of the whole tentpole: a sharded run's
-   result record — every reduced accumulator, completion, latency,
-   local fraction — is structurally identical (floats compared
-   bitwise) to the unsharded run's. *)
-let prop_sharded_run_identical =
-  QCheck.Test.make ~name:"inner-jobs N result equals inner-jobs 1" ~count:4
-    QCheck.(pair (int_range 2 6) (int_range 0 1000))
-    (fun (inner_jobs, seed) ->
-      let cell inner =
-        let vm =
-          Engine.Config.vm ~threads:7 ~policy:Policies.Spec.round_4k_carrefour (app "swaptions")
-        in
-        Engine.Runner.run
-          (Engine.Config.make ~seed ~max_epochs:40 ~inner_jobs:inner
-             ~mode:Engine.Config.Xen_plus [ vm ])
-      in
-      cell 1 = cell inner_jobs)
-
-let test_sharded_faults_identical () =
-  (* Fault runs force the kernel unsharded; inner_jobs must be inert. *)
-  let faults =
-    match Faults.Plan.of_string "stall=0.05@2-30" with
-    | Ok p -> p
-    | Error msg -> Alcotest.failf "bad plan: %s" msg
-  in
-  let cell inner =
-    let vm = Engine.Config.vm ~threads:6 ~policy:Policies.Spec.first_touch (app "swaptions") in
-    Engine.Runner.run
-      (Engine.Config.make ~seed:9 ~max_epochs:40 ~faults ~inner_jobs:inner
-         ~mode:Engine.Config.Xen_plus [ vm ])
-  in
-  Alcotest.(check bool) "identical result" true (cell 1 = cell 4)
-
-(* ---------------------------- fast-forward --------------------------- *)
 
 (* The fast-forward acceptance property: with quiescence-tracked
    replay on, every reduced field of the result record — completions,
    latencies, histograms, local fractions, SLO verdicts — is
    structurally identical (floats compared bitwise) to the naive run's;
    only the [replayed_epochs] accounting may differ.  Randomised over
-   policy, superpages, pt-walk, inner-jobs, seed, SLO objectives and a
-   disk-I/O app beside a compute-only one, so replay is exercised under
-   Carrefour decade boundaries, promote scans, sharding, per-epoch SLO
-   verdicts and steady disk DMA. *)
+   policy, superpages, pt-walk, seed, SLO objectives and a disk-I/O
+   app beside a compute-only one, so replay is exercised under
+   Carrefour decade boundaries, promote scans, per-epoch SLO verdicts
+   and steady disk DMA. *)
 let prop_ff_run_identical =
   let metrics = [ "mean"; "p50"; "p95"; "p99"; "p999" ] in
   let slo_gen =
@@ -309,8 +259,8 @@ let prop_ff_run_identical =
   in
   QCheck.Test.make ~name:"fast-forward result equals naive" ~count:6
     QCheck.(
-      pair (quad (int_range 0 9) (int_range 1 4) (int_range 0 1000) bool) (pair slo_gen bool))
-    (fun ((policy_idx, inner_jobs, seed, superpages), (slo, disk_app)) ->
+      pair (triple (int_range 0 9) (int_range 0 1000) bool) (pair slo_gen bool))
+    (fun ((policy_idx, seed, superpages), (slo, disk_app)) ->
       let policy =
         List.nth Policies.Spec.all (policy_idx mod List.length Policies.Spec.all)
       in
@@ -319,7 +269,7 @@ let prop_ff_run_identical =
       let cell fast_forward =
         let vm = Engine.Config.vm ~threads:7 ~superpages ~pt_walk ~policy (app app_name) in
         Engine.Runner.run
-          (Engine.Config.make ~seed ~max_epochs:60 ~inner_jobs ~slo ~fast_forward
+          (Engine.Config.make ~seed ~max_epochs:60 ~slo ~fast_forward
              ~mode:Engine.Config.Xen_plus [ vm ])
       in
       let ff = cell true and naive = cell false in
@@ -403,6 +353,7 @@ let suite =
         Alcotest.test_case "page scale heuristic" `Quick test_config_page_scale_heuristic;
         Alcotest.test_case "page_kib override" `Quick test_config_page_kib_override;
         Alcotest.test_case "validation" `Quick test_config_validation;
+        Alcotest.test_case "inner_jobs only 1" `Quick test_config_inner_jobs_only_one;
       ] );
     ( "engine.runner",
       [
@@ -444,12 +395,6 @@ let suite =
         Alcotest.test_case "two VMs share the CPUs" `Slow test_consolidation_halves_throughput;
         Alcotest.test_case "split halves" `Quick test_split_halves_are_disjoint;
         Alcotest.test_case "fewer threads slower" `Quick test_fewer_threads_slower;
-      ] );
-    ( "engine.shard",
-      [
-        qcheck prop_partition_covers;
-        qcheck prop_sharded_run_identical;
-        Alcotest.test_case "faults force unsharded" `Quick test_sharded_faults_identical;
       ] );
     ( "engine.ff",
       [

@@ -406,8 +406,9 @@ let prop_hist_merge_associative =
       Sim.Stats.Histogram.merge right bc;
       hist_fingerprint left = hist_fingerprint right)
 
-(* The runner's shard contract in miniature: per-shard histograms
-   merged in shard order equal the histogram of the unsharded whole. *)
+(* [Histogram.merge] backs [Obs.Metrics.merge_histogram]: histograms
+   of the parts of a sample list, merged in order, equal the histogram
+   of the whole list. *)
 let prop_hist_sharded_equals_whole =
   QCheck.Test.make ~name:"histogram: shard-merge equals unsharded whole" ~count:300
     QCheck.(pair (int_range 1 8) samples_gen)
@@ -662,27 +663,17 @@ let test_profile_spans_accumulate () =
 
 (* --------------------------- SLO accounting ------------------------ *)
 
-let slo_cfg ~seed ~inner_jobs ~slo =
+let slo_cfg ~seed ~slo =
   let app =
     match Workloads.Catalogue.find "swaptions" with Some a -> a | None -> assert false
   in
   let vm = Engine.Config.vm ~threads:4 ~policy:Policies.Spec.first_touch app in
-  Engine.Config.make ~seed ~max_epochs:40 ~inner_jobs ~slo ~mode:Engine.Config.Xen_plus [ vm ]
-
-let test_latency_inner_jobs_identical () =
-  let slo = [ ("p99", 250.0); ("mean", 200.0) ] in
-  let r1 = Engine.Runner.run (slo_cfg ~seed:21 ~inner_jobs:1 ~slo) in
-  let r4 = Engine.Runner.run (slo_cfg ~seed:21 ~inner_jobs:4 ~slo) in
-  let v1 = Engine.Result.single r1 and v4 = Engine.Result.single r4 in
-  Alcotest.(check bool) "samples recorded" true (v1.Engine.Result.latency.Engine.Result.samples > 0);
-  Alcotest.(check bool) "latency summary bit-identical" true
-    (v1.Engine.Result.latency = v4.Engine.Result.latency);
-  Alcotest.(check bool) "slo rows bit-identical" true (v1.Engine.Result.slo = v4.Engine.Result.slo)
+  Engine.Config.make ~seed ~max_epochs:40 ~slo ~mode:Engine.Config.Xen_plus [ vm ]
 
 let test_slo_observational_and_accounting () =
-  let base = Engine.Runner.run (slo_cfg ~seed:22 ~inner_jobs:1 ~slo:[]) in
+  let base = Engine.Runner.run (slo_cfg ~seed:22 ~slo:[]) in
   let tight =
-    Engine.Runner.run (slo_cfg ~seed:22 ~inner_jobs:1 ~slo:[ ("p50", 0.001) ])
+    Engine.Runner.run (slo_cfg ~seed:22 ~slo:[ ("p50", 0.001) ])
   in
   let vb = Engine.Result.single base and vt = Engine.Result.single tight in
   (* Purely observational: the run itself must not notice the SLO. *)
@@ -701,7 +692,7 @@ let test_slo_observational_and_accounting () =
       Alcotest.(check (float 1e-9)) "burn rate saturates" 1.0 row.Engine.Result.burn_rate
   | rows -> Alcotest.failf "expected 1 slo row, got %d" (List.length rows));
   let loose =
-    Engine.Runner.run (slo_cfg ~seed:22 ~inner_jobs:1 ~slo:[ ("p99", 1e9) ])
+    Engine.Runner.run (slo_cfg ~seed:22 ~slo:[ ("p99", 1e9) ])
   in
   match (Engine.Result.single loose).Engine.Result.slo with
   | [ row ] ->
@@ -760,8 +751,6 @@ let suite =
         qcheck prop_hist_sharded_equals_whole;
         qcheck prop_hist_percentile_monotone;
         Alcotest.test_case "copy and diff" `Quick test_hist_copy_diff;
-        Alcotest.test_case "inner-jobs 1 = 4 latency summary" `Slow
-          test_latency_inner_jobs_identical;
         Alcotest.test_case "slo is observational" `Slow test_slo_observational_and_accounting;
         Alcotest.test_case "slo parser" `Quick test_slo_parser;
       ] );

@@ -58,8 +58,9 @@ else
   echo "tier1: perf gate skipped (no committed BENCH_*.json)"
 fi
 
-# Usage errors must be reported as such: unknown sections and a
-# malformed --jobs both exit non-zero.
+# Usage errors must be reported as such: unknown sections, unknown
+# options and a malformed --jobs all exit non-zero, and an unknown
+# option is named as an option, not mistaken for a section.
 if dune exec bench/main.exe -- no-such-section >/dev/null 2>&1; then
   echo "tier1: FAIL - unknown bench section did not exit non-zero" >&2
   exit 1
@@ -68,6 +69,32 @@ if dune exec bench/main.exe -- tab1 --jobs banana >/dev/null 2>&1; then
   echo "tier1: FAIL - bad --jobs did not exit non-zero" >&2
   exit 1
 fi
+if out=$(dune exec bench/main.exe -- --inner-jobs 2 2>&1); then
+  echo "tier1: FAIL - unknown bench option did not exit non-zero" >&2
+  exit 1
+fi
+case "$out" in
+  *'unknown option "--inner-jobs"'*) ;;
+  *)
+    echo "tier1: FAIL - unknown bench option not reported as an option" >&2
+    exit 1
+    ;;
+esac
+
+# The run help renders cleanly: a doc string Cmdliner cannot parse is
+# reported on stderr and its escaped characters vanish from the text.
+if ! help=$(dune exec bin/xen_numa_sim.exe -- run --help=plain 2>&1 >/dev/null); then
+  echo "tier1: FAIL - run --help=plain exited non-zero" >&2
+  exit 1
+fi
+if [ -n "$help" ]; then
+  echo "tier1: FAIL - run --help=plain wrote to stderr: $help" >&2
+  exit 1
+fi
+dune exec bin/xen_numa_sim.exe -- run --help=plain | grep -qF 'alloc=0.3@50-150' || {
+  echo "tier1: FAIL - run --help=plain lost the fault-plan example alloc=0.3@50-150" >&2
+  exit 1
+}
 
 # A thread count the host cannot pin is a usage error with a message,
 # never an uncaught exception.
@@ -139,71 +166,38 @@ cmp "$TRACE_DIR/ras1.jsonl" "$TRACE_DIR/ras4.jsonl" || {
 dune exec bin/xen_numa_trace.exe -- check "$TRACE_DIR/ras1.jsonl"
 echo "tier1: ras trace determinism OK ($(wc -l < "$TRACE_DIR/ras1.jsonl") JSONL lines)"
 
-# Intra-run sharding determinism: one fig2-style cell traced with the
-# epoch kernel unsharded and sharded over 4 team members must export
-# byte-identical JSONL — the sequential fixed-order reduction, not the
-# shard schedule, decides every accumulated bit.
-dune exec bin/xen_numa_sim.exe -- run pagerank -m linux -p first-touch/carrefour \
-  --inner-jobs 1 --trace "$TRACE_DIR/ij1.jsonl" >/dev/null
-dune exec bin/xen_numa_sim.exe -- run pagerank -m linux -p first-touch/carrefour \
-  --inner-jobs 4 --trace "$TRACE_DIR/ij4.jsonl" >/dev/null
-cmp "$TRACE_DIR/ij1.jsonl" "$TRACE_DIR/ij4.jsonl" || {
-  echo "tier1: FAIL - traces differ between --inner-jobs 1 and --inner-jobs 4" >&2
-  exit 1
-}
-echo "tier1: inner-jobs trace determinism OK ($(wc -l < "$TRACE_DIR/ij1.jsonl") JSONL lines)"
-
-# The same bar with the radix walk model and replicated page tables
-# on: the walk repricing and replica propagation live outside the
-# per-vCPU shards, so the sharded kernel must export identical bytes.
-dune exec bin/xen_numa_sim.exe -- run swaptions -t 8 -m xen+ -p first-touch/carrefour \
-  --pt-walk --replicate-pt --inner-jobs 1 --trace "$TRACE_DIR/ptij1.jsonl" >/dev/null
-dune exec bin/xen_numa_sim.exe -- run swaptions -t 8 -m xen+ -p first-touch/carrefour \
-  --pt-walk --replicate-pt --inner-jobs 4 --trace "$TRACE_DIR/ptij4.jsonl" >/dev/null
-cmp "$TRACE_DIR/ptij1.jsonl" "$TRACE_DIR/ptij4.jsonl" || {
-  echo "tier1: FAIL - pt-walk traces differ between --inner-jobs 1 and --inner-jobs 4" >&2
-  exit 1
-}
-echo "tier1: pt-walk inner-jobs determinism OK ($(wc -l < "$TRACE_DIR/ptij1.jsonl") JSONL lines)"
-
 # Fast-forward equivalence: the steady-state delta replay must be
-# invisible in the trace bytes.  One static cell (round-4k quiesces
-# into a pure replay streak) and one Carrefour cell (decade boundaries
-# punctuate the streaks) run with fast-forward on and off; the JSONL
+# invisible.  Each cell runs with fast-forward on and off; the JSONL
 # exports must be byte-identical — same events, same floats, same
-# order — with only the stdout replay count allowed to differ.
-dune exec bin/xen_numa_sim.exe -- run swaptions -t 8 -m xen+ -p round-4k \
-  --trace "$TRACE_DIR/ffon.jsonl" >/dev/null
-dune exec bin/xen_numa_sim.exe -- run swaptions -t 8 -m xen+ -p round-4k \
-  --no-fast-forward --trace "$TRACE_DIR/ffoff.jsonl" >/dev/null
-cmp "$TRACE_DIR/ffon.jsonl" "$TRACE_DIR/ffoff.jsonl" || {
-  echo "tier1: FAIL - static-cell traces differ between fast-forward on and off" >&2
-  exit 1
-}
-dune exec bin/xen_numa_sim.exe -- run streamcluster -t 8 -m xen+ -p round-4k/carrefour \
-  --trace "$TRACE_DIR/ffcon.jsonl" >/dev/null
-dune exec bin/xen_numa_sim.exe -- run streamcluster -t 8 -m xen+ -p round-4k/carrefour \
-  --no-fast-forward --trace "$TRACE_DIR/ffcoff.jsonl" >/dev/null
-cmp "$TRACE_DIR/ffcon.jsonl" "$TRACE_DIR/ffcoff.jsonl" || {
-  echo "tier1: FAIL - carrefour-cell traces differ between fast-forward on and off" >&2
-  exit 1
-}
-# SLO verdicts and latency percentiles live in the printed result, not
-# in the trace: one disk-I/O cell with objectives must print the same
-# result either way, once the "(N replayed)" suffix is stripped.
+# order — and so must stdout once the "(N replayed)" suffix and the
+# trace-file line are stripped.  The cells: a static cell (round-4k
+# quiesces into a pure replay streak), a Carrefour cell (decade
+# boundaries punctuate the streaks), a Linux first-touch/Carrefour
+# cell, a radix-walk + replicated-page-table cell, and a disk-I/O cell
+# with SLO objectives (verdicts and latency percentiles live in the
+# printed result, not in the trace).
 STRIP_FF='s/ ([0-9]* replayed)//; /^trace written to /d'
-dune exec bin/xen_numa_sim.exe -- run cassandra -m xen+ -p round-1g --slo p99=500,mean=300 \
-  --trace "$TRACE_DIR/ffdon.jsonl" | sed "$STRIP_FF" > "$TRACE_DIR/ffdon.txt"
-dune exec bin/xen_numa_sim.exe -- run cassandra -m xen+ -p round-1g --slo p99=500,mean=300 \
-  --no-fast-forward --trace "$TRACE_DIR/ffdoff.jsonl" | sed "$STRIP_FF" > "$TRACE_DIR/ffdoff.txt"
-cmp "$TRACE_DIR/ffdon.jsonl" "$TRACE_DIR/ffdoff.jsonl" || {
-  echo "tier1: FAIL - disk/SLO-cell traces differ between fast-forward on and off" >&2
-  exit 1
+ff_equiv() {
+  tag=$1
+  shift
+  dune exec bin/xen_numa_sim.exe -- run "$@" --trace "$TRACE_DIR/$tag-on.jsonl" \
+    | sed "$STRIP_FF" > "$TRACE_DIR/$tag-on.txt"
+  dune exec bin/xen_numa_sim.exe -- run "$@" --no-fast-forward \
+    --trace "$TRACE_DIR/$tag-off.jsonl" | sed "$STRIP_FF" > "$TRACE_DIR/$tag-off.txt"
+  cmp "$TRACE_DIR/$tag-on.jsonl" "$TRACE_DIR/$tag-off.jsonl" || {
+    echo "tier1: FAIL - $tag traces differ between fast-forward on and off" >&2
+    exit 1
+  }
+  cmp "$TRACE_DIR/$tag-on.txt" "$TRACE_DIR/$tag-off.txt" || {
+    echo "tier1: FAIL - $tag results differ between fast-forward on and off" >&2
+    exit 1
+  }
 }
-cmp "$TRACE_DIR/ffdon.txt" "$TRACE_DIR/ffdoff.txt" || {
-  echo "tier1: FAIL - disk/SLO-cell results differ between fast-forward on and off" >&2
-  exit 1
-}
+ff_equiv static swaptions -t 8 -m xen+ -p round-4k
+ff_equiv carrefour streamcluster -t 8 -m xen+ -p round-4k/carrefour
+ff_equiv linux-carrefour pagerank -m linux -p first-touch/carrefour
+ff_equiv pt-walk swaptions -t 8 -m xen+ -p first-touch/carrefour --pt-walk --replicate-pt
+ff_equiv disk-slo cassandra -m xen+ -p round-1g --slo p99=500,mean=300
 echo "tier1: fast-forward trace equivalence OK"
 
 # Trace query engine smoke: the streaming query over the tab1 traces
@@ -277,21 +271,19 @@ dune exec test/test_main.exe -- test faults
 # invariant (the memory.buddy filter also matches memory.buddy.offline,
 # whose free + allocated + offlined = total invariant covers page
 # offlining), the P2M superpage consistency invariant, the top-k heap
-# invariant, the batched-vs-per-page P2M equivalence, the intra-run
-# sharding invariants (partition tiling, sharded-equals-unsharded
-# results), the evacuation
+# invariant, the batched-vs-per-page P2M equivalence, the evacuation
 # frame-conservation property (post-drain P2M maps exactly the
 # pre-failure guest frames, none on an offlined mfn), the
 # replica-equivalence invariant (mirrors track the primary through any
 # op interleaving), the radix walk monotonicity properties, and the
 # fast-forward equivalence property (a delta-replayed run equals the
-# naive run bit for bit across randomised policies and shardings).
+# naive run bit for bit across randomised policies, seeds and SLO
+# objectives).
 echo "tier1: randomised property pass (QCHECK_SEED=$QCHECK_SEED)"
 dune exec test/test_main.exe -- test memory.buddy
 dune exec test/test_main.exe -- test xen.p2m
 dune exec test/test_main.exe -- test stats.topk
 dune exec test/test_main.exe -- test xen.p2m.batch
-dune exec test/test_main.exe -- test engine.shard
 dune exec test/test_main.exe -- test engine.ff
 dune exec test/test_main.exe -- test policies.evacuation
 dune exec test/test_main.exe -- test obs.latency
