@@ -101,29 +101,52 @@ let bench_counters () =
       Numa.Counters.record_accesses counters ~src:(!i land 7) ~dst:((!i lsr 3) land 7)
         ~count:100.0 ~bytes_per_access:64.0)
 
-let bench_carrefour_decide () =
-  let rng = Sim.Rng.create ~seed:1 in
-  let hot =
-    List.init 128 (fun i ->
-        {
-          Policies.Carrefour.pfn = i;
-          node_accesses = Array.init 8 (fun n -> if n = 0 then 100.0 else 5.0);
-          read_fraction = 0.5;
-        })
+let bench_carrefour_decade () =
+  (* One Carrefour decade at the engine's scale: [begin_epoch], ~500
+     samples and [run_epoch] on a ~4k-row heat table under a saturated
+     interconnect.  32 hot pages are sampled every decade; 472 pages of
+     a rotating window of 8192 are sampled once per pass with heat that
+     lives 8 decades, and one in 16 of them is read from a remote
+     node, which makes it a locality candidate. *)
+  let topo = Numa.Amd48.topology () in
+  let system = Xen.System.create ~page_scale:512 topo in
+  let pages = 8192 in
+  let domain =
+    Xen.System.create_domain system ~name:"bench" ~kind:Xen.Domain.DomU ~vcpus:48
+      ~mem_bytes:(pages * 2 * 1024 * 1024) ()
   in
-  let metrics =
-    {
-      Policies.Carrefour.System_component.controller_util =
-        [| 0.9; 0.1; 0.1; 0.1; 0.1; 0.1; 0.1; 0.1 |];
-      max_link_util = 0.5;
-      imbalance = 2.0;
-      hot_pages = Policies.Carrefour.hot_of_samples hot;
-    }
-  in
+  for pfn = 0 to pages - 1 do
+    ignore (Policies.Internal.map_page system domain ~pfn ~node:(pfn mod 8))
+  done;
+  let sys = Policies.Carrefour.System_component.create system domain in
+  let counters = Numa.Counters.create topo in
+  Numa.Counters.record_accesses counters ~src:0 ~dst:2
+    ~count:(3.0 *. 1024.0 *. 1024.0 *. 1024.0 /. 64.0) ~bytes_per_access:64.0;
+  Numa.Counters.end_epoch counters ~duration:1.0;
   let config = Policies.Carrefour.User_component.default_config in
+  let rng = Sim.Rng.create ~seed:1 in
+  let scratch = Array.make 8 0.0 in
+  let cursor = ref 0 in
+  let sample pfn ~node ~heat =
+    Array.fill scratch 0 8 0.0;
+    scratch.(node) <- heat;
+    Policies.Carrefour.System_component.record_sample sys ~pfn ~node_accesses:scratch
+      ~read_fraction:0.9
+  in
   Bechamel.Staged.stage (fun () ->
-      Policies.Carrefour.User_component.decide config ~rng ~metrics ~current_node:(fun _ ->
-          Some 0))
+      Policies.Carrefour.System_component.begin_epoch sys;
+      for pfn = 0 to 31 do
+        sample pfn ~node:(pfn mod 8) ~heat:4096.0
+      done;
+      let pass = !cursor / pages in
+      for j = 0 to 471 do
+        let pfn = 32 + ((!cursor + j) mod (pages - 32)) in
+        let home = pfn mod 8 in
+        let node = if (pfn + pass) land 15 = 0 then (home + 1) mod 8 else home in
+        sample pfn ~node ~heat:200.0
+      done;
+      cursor := !cursor + 472;
+      ignore (Policies.Carrefour.run_epoch sys ~config ~rng ~counters))
 
 let bench_zipf () =
   let rng = Sim.Rng.create ~seed:2 in
@@ -148,49 +171,6 @@ let bench_ff_guard () =
   Bechamel.Staged.stage (fun () ->
       ignore (Engine.Runner.replay_guard ~finish ~doit ~remaining ~cap ~final))
 
-let bench_ff_replay () =
-  (* One VM's delta-replay body at 48 threads x 8 nodes: work
-     retirement, the counter commit, end-of-epoch accounting and the
-     run-length histogram fill — everything a replayed epoch still
-     does, with the O(threads x nodes) kernels skipped. *)
-  let topo = Numa.Amd48.topology () in
-  let counters = Numa.Counters.create topo in
-  let threads = 48 in
-  let nodes = 8 in
-  let doit = Array.make threads 1.0 in
-  let dst = Array.init (threads * nodes) (fun i -> float_of_int (1 + (i mod nodes))) in
-  let total = Array.make threads 36.0 in
-  let lat = Array.make threads 312.5 in
-  let remaining = Array.make threads 1e12 in
-  let final = Array.make threads 1e3 in
-  let hist = Sim.Stats.Histogram.create () in
-  Bechamel.Staged.stage (fun () ->
-      for t = 0 to threads - 1 do
-        if doit.(t) > 0.0 then begin
-          remaining.(t) <- remaining.(t) -. final.(t);
-          let base = t * nodes in
-          for n = 0 to nodes - 1 do
-            if dst.(base + n) > 0.0 then
-              Numa.Counters.record_accesses counters ~src:(t mod nodes) ~dst:n
-                ~count:dst.(base + n) ~bytes_per_access:64.0
-          done
-        end
-      done;
-      Numa.Counters.end_epoch counters ~duration:0.1;
-      let run_v = ref 0.0 in
-      let run_n = ref 0 in
-      for t = 0 to threads - 1 do
-        if total.(t) > 0.0 then begin
-          if !run_n > 0 && lat.(t) = !run_v then incr run_n
-          else begin
-            if !run_n > 0 then Sim.Stats.Histogram.add_n hist !run_v !run_n;
-            run_v := lat.(t);
-            run_n := 1
-          end
-        end
-      done;
-      if !run_n > 0 then Sim.Stats.Histogram.add_n hist !run_v !run_n)
-
 let bench_engine_epoch () =
   (* One full small run: the per-epoch cost of the whole engine. *)
   let app =
@@ -213,11 +193,10 @@ let micro_tests =
     Test.make ~name:"pool fanout 32x2" (bench_pool_fanout ());
     Test.make ~name:"pool dispatch 256x1" (bench_pool_dispatch ());
     Test.make ~name:"counters record" (bench_counters ());
-    Test.make ~name:"carrefour decide (128 hot)" (bench_carrefour_decide ());
+    Test.make ~name:"carrefour decade (4k rows)" (bench_carrefour_decade ());
     Test.make ~name:"rng zipf 32k" (bench_zipf ());
     Test.make ~name:"eventq schedule+next" (bench_eventq ());
     Test.make ~name:"quiescence check" (bench_ff_guard ());
-    Test.make ~name:"epoch delta replay" (bench_ff_replay ());
     Test.make ~name:"engine 10-epoch run" (bench_engine_epoch ());
   ]
 

@@ -15,6 +15,7 @@ type phase =
   | Kernel_latency
   | Reduce
   | Carrefour_feed
+  | Carrefour_decide
   | P2m_batch
   | Pv_flush
   | Epoch_tick
@@ -27,6 +28,7 @@ let phases =
     Kernel_latency;
     Reduce;
     Carrefour_feed;
+    Carrefour_decide;
     P2m_batch;
     Pv_flush;
     Epoch_tick;
@@ -39,10 +41,11 @@ let phase_index = function
   | Kernel_latency -> 2
   | Reduce -> 3
   | Carrefour_feed -> 4
-  | P2m_batch -> 5
-  | Pv_flush -> 6
-  | Epoch_tick -> 7
-  | Ff_replay -> 8
+  | Carrefour_decide -> 5
+  | P2m_batch -> 6
+  | Pv_flush -> 7
+  | Epoch_tick -> 8
+  | Ff_replay -> 9
 
 let phase_name = function
   | Kernel_compute -> "kernel.compute"
@@ -50,6 +53,7 @@ let phase_name = function
   | Kernel_latency -> "kernel.latency"
   | Reduce -> "reduce"
   | Carrefour_feed -> "carrefour.feed"
+  | Carrefour_decide -> "carrefour.decide"
   | P2m_batch -> "p2m.batch"
   | Pv_flush -> "pv.flush"
   | Epoch_tick -> "manager.epoch_tick"

@@ -12,6 +12,9 @@ type phase =
   | Kernel_latency  (** weighted-latency kernel *)
   | Reduce  (** sequential fixed-order reductions *)
   | Carrefour_feed  (** per-epoch carrefour sample feed *)
+  | Carrefour_decide
+      (** carrefour readout plus decide, nested in [Carrefour_feed]
+          (the act that follows stays in the parent only) *)
   | P2m_batch  (** batched P2M invalidate/map/migrate replay *)
   | Pv_flush  (** PV queue partition flush *)
   | Epoch_tick  (** policy manager epoch tick *)
@@ -29,7 +32,9 @@ val reset : unit -> unit
 val span : phase -> (unit -> 'a) -> 'a
 (** Run the thunk, attributing its wall-clock time to the phase.  When
     profiling is disabled this is one atomic read plus the call.
-    Spans are inclusive — nested profiled phases double-account. *)
+    Spans are inclusive — nested profiled phases double-account:
+    [Carrefour_decide] always runs inside [Carrefour_feed], and
+    [P2m_batch] inside [Carrefour_feed], [Epoch_tick] or [Pv_flush]. *)
 
 val totals : unit -> (string * int * int) list
 (** [(phase name, calls, total ns)] for every phase, taxonomy order. *)

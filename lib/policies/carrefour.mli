@@ -75,7 +75,9 @@ module System_component : sig
   (** Feed one hardware sample into the heat table.  [node_accesses]
       is copied on first sight of the page and accumulated in place
       afterwards, so callers may reuse one scratch array across
-      samples. *)
+      samples.  Raises [Invalid_argument] (the table unchanged) when
+      [node_accesses] has more entries than the machine has nodes, or
+      an entry that is negative, infinite or NaN. *)
 
   val record_samples : t -> sample list -> unit
   (** [begin_epoch] followed by {!record_sample} for each element. *)
@@ -179,7 +181,11 @@ val run_epoch :
   report
 (** One user-component period: read metrics, decide, apply.  Migration
     costs are charged to the domain account by the internal
-    interface.
+    interface.  The actions are those of a decision over the whole
+    heat table; most periods only re-read the rows that can have
+    changed since the last one (the pages sampled or acted on, and the
+    locality candidates carried from it).  A [migrate] hook must move
+    only the page it is given.
 
     [interleave_only] (default false) sheds the locality and
     replication actions — the circuit breaker's first degradation

@@ -1151,14 +1151,6 @@ let carrefour_epoch_feed t ~counters ~feed =
         Some report
       end
 
-let carrefour_epoch t ~counters ~samples =
-  carrefour_epoch_feed t ~counters ~feed:(fun sys ->
-      List.iter
-        (fun (s : Carrefour.sample) ->
-          Carrefour.System_component.record_sample sys ~pfn:s.Carrefour.pfn
-            ~node_accesses:s.Carrefour.node_accesses ~read_fraction:s.Carrefour.read_fraction)
-        samples)
-
 let degrade t = t.degrade
 let pending_migrations t = Queue.length t.pending
 

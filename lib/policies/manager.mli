@@ -120,26 +120,21 @@ val carrefour : t -> Carrefour.System_component.t option
 (** The Carrefour system component, present while the spec has
     Carrefour enabled. *)
 
-val carrefour_epoch :
-  t -> counters:Numa.Counters.t -> samples:Carrefour.sample list -> Carrefour.report option
-(** Feed one epoch of samples and run the user component; [None] when
-    Carrefour is off or the circuit breaker is open.  Migrations go
-    through the resilient path; the breaker window is evaluated after
-    each period and may trip (suspending the policy for a cooldown) or
-    escalate the degradation level. *)
-
 val carrefour_epoch_feed :
   t ->
   counters:Numa.Counters.t ->
   feed:(Carrefour.System_component.t -> unit) ->
   Carrefour.report option
-(** Allocation-light variant of {!carrefour_epoch}: instead of a
-    materialised sample list, [feed] is called once (after
-    {!Carrefour.System_component.begin_epoch}, before the user
-    component runs) to push samples straight into the heat table with
+(** One Carrefour period: open a sampling epoch
+    ({!Carrefour.System_component.begin_epoch}), call [feed] once to
+    push the epoch's samples into the heat table with
     {!Carrefour.System_component.record_sample} — typically from
-    reusable scratch arrays.  [feed] is not called when Carrefour is
-    off or the breaker is open. *)
+    reusable scratch arrays — then run the user component.  [None]
+    (and [feed] is not called) when Carrefour is off or the circuit
+    breaker is open.  Migrations go through the resilient path; the
+    breaker window is evaluated after each period and may trip
+    (suspending the policy for a cooldown) or escalate the degradation
+    level. *)
 
 val migrate_resilient : t -> pfn:Memory.Page.pfn -> node:Numa.Topology.node -> bool
 (** Migration with graceful degradation: on transient ENOMEM, retry up

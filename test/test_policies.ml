@@ -243,6 +243,12 @@ let hot_page ?(read_fraction = 0.5) pfn ~node ~count =
 
 let config = Policies.Carrefour.User_component.default_config
 
+(* A [Manager.carrefour_epoch_feed] feed of one sample. *)
+let feed_one (s : Policies.Carrefour.sample) sys =
+  Policies.Carrefour.System_component.record_sample sys ~pfn:s.Policies.Carrefour.pfn
+    ~node_accesses:s.Policies.Carrefour.node_accesses
+    ~read_fraction:s.Policies.Carrefour.read_fraction
+
 let test_carrefour_interleave_on_overload () =
   let rng = Sim.Rng.create ~seed:1 in
   let hot = List.init 10 (fun i -> hot_page i ~node:0 ~count:100.0) in
@@ -294,6 +300,20 @@ let test_carrefour_respects_budget () =
     (List.length
        (Policies.Carrefour.User_component.decide tight ~rng ~metrics:m
           ~current_node:(fun _ -> Some 0)))
+
+let test_carrefour_locality_budget_hottest_first () =
+  let rng = Sim.Rng.create ~seed:4 in
+  (* Ten remote-read pages, hotter with the pfn; three migrations allowed. *)
+  let hot = List.init 10 (fun i -> hot_page i ~node:5 ~count:(float_of_int (100 + i))) in
+  let m = metrics ~controller_util:(Array.make 8 0.2) ~max_link_util:0.9 ~hot in
+  let tight = { config with Policies.Carrefour.User_component.migration_budget = 3 } in
+  let actions =
+    Policies.Carrefour.User_component.decide tight ~rng ~metrics:m ~current_node:(fun _ -> Some 0)
+  in
+  Alcotest.(check (list int)) "the three hottest, hottest first" [ 9; 8; 7 ]
+    (List.map
+       (fun (a : Policies.Carrefour.User_component.action) -> a.Policies.Carrefour.User_component.pfn)
+       actions)
 
 let test_carrefour_min_accesses_filter () =
   let rng = Sim.Rng.create ~seed:5 in
@@ -385,7 +405,7 @@ let test_carrefour_end_to_end_migration () =
   Numa.Counters.end_epoch counters ~duration:1.0;
   let remote = (victim_node + 1) mod 8 in
   let sample = hot_page 0 ~node:remote ~count:1000.0 in
-  (match Policies.Manager.carrefour_epoch m ~counters ~samples:[ sample ] with
+  (match Policies.Manager.carrefour_epoch_feed m ~counters ~feed:(feed_one sample) with
   | Some report ->
       Alcotest.(check bool) "some migration happened" true
         (report.Policies.Carrefour.interleave_migrations
@@ -507,6 +527,343 @@ let prop_carrefour_actions_within_budget_and_hot =
              a.Policies.Carrefour.User_component.pfn < pages)
            actions)
 
+(* The heat table rejects a spread it cannot store: more entries than
+   nodes, or a count that is not a finite non-negative number.  A
+   rejected sample leaves the table as it was. *)
+let test_carrefour_rejects_bad_samples () =
+  let s = small_system () in
+  let d, _m = attach s in
+  let sys = Policies.Carrefour.System_component.create s d in
+  let record node_accesses =
+    Policies.Carrefour.System_component.record_sample sys ~pfn:0 ~node_accesses
+      ~read_fraction:1.0
+  in
+  let prefix = "Carrefour.System_component.record_sample" in
+  let rejected what node_accesses =
+    match record node_accesses with
+    | () -> Alcotest.failf "%s: sample accepted" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check string) (what ^ ": message") prefix
+          (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+  in
+  rejected "nine entries on eight nodes" (Array.make 9 1.0);
+  rejected "negative count" [| 4.0; -1.0 |];
+  rejected "nan count" [| Float.nan |];
+  rejected "infinite count" [| Float.infinity |];
+  Alcotest.(check int) "nothing tracked" 0 (Policies.Carrefour.System_component.tracked_pages sys);
+  record [| 4.0; 2.0 |];
+  record (Array.make 8 1.0);
+  Alcotest.(check int) "short and full spreads accepted" 1
+    (Policies.Carrefour.System_component.tracked_pages sys);
+  let counters = Numa.Counters.create s.Xen.System.topo in
+  Numa.Counters.end_epoch counters ~duration:1.0;
+  let row () =
+    Policies.Carrefour.samples_of_hot
+      (Policies.Carrefour.System_component.read_metrics sys ~counters)
+        .Policies.Carrefour.System_component.hot_pages
+  in
+  let before = row () in
+  rejected "negative count on a tracked page" [| 1.0; 1.0; -1.0 |];
+  Alcotest.(check bool) "tracked row unchanged" true (row () = before)
+
+(* The eager heat table the lazy one must reproduce bit for bit: every
+   decade halves every row and drops the rows whose halved sum falls
+   below 1.0, and every decision reads the whole table. *)
+module Eager_heat = struct
+  type row = { pfn : int; counts : float array; mutable reads : float; mutable total : float }
+  type t = { nodes : int; mutable rows : row list (* insertion order *) }
+
+  let create nodes = { nodes; rows = [] }
+
+  let begin_epoch t =
+    t.rows <-
+      List.filter
+        (fun r ->
+          let sum = ref 0.0 in
+          Array.iteri
+            (fun j c ->
+              let c = c /. 2.0 in
+              r.counts.(j) <- c;
+              sum := !sum +. c)
+            r.counts;
+          if !sum < 1.0 then false
+          else begin
+            r.reads <- r.reads /. 2.0;
+            r.total <- !sum;
+            true
+          end)
+        t.rows
+
+  let record t ~pfn ~node_accesses ~read_fraction =
+    let added = Array.fold_left ( +. ) 0.0 node_accesses in
+    match List.find_opt (fun r -> r.pfn = pfn) t.rows with
+    | Some r ->
+        Array.iteri (fun j x -> r.counts.(j) <- r.counts.(j) +. x) node_accesses;
+        r.reads <- r.reads +. (read_fraction *. added);
+        r.total <- r.total +. added
+    | None ->
+        let counts = Array.make t.nodes 0.0 in
+        Array.blit node_accesses 0 counts 0 (Array.length node_accesses);
+        t.rows <- t.rows @ [ { pfn; counts; reads = read_fraction *. added; total = added } ]
+
+  (* Hottest first — total descending, pfn ascending — at most [cap]
+     rows. *)
+  let readout t ~cap =
+    let rows =
+      List.sort
+        (fun a b ->
+          let c = Float.compare b.total a.total in
+          if c <> 0 then c else Int.compare a.pfn b.pfn)
+        t.rows
+      |> List.filteri (fun i _ -> i < cap)
+    in
+    {
+      Policies.Carrefour.nodes = t.nodes;
+      count = List.length rows;
+      pfns = Array.of_list (List.map (fun r -> r.pfn) rows);
+      counts = Array.concat (List.map (fun r -> Array.copy r.counts) rows);
+      read_fractions =
+        Array.of_list (List.map (fun r -> if r.total > 0.0 then r.reads /. r.total else 1.0) rows);
+      keys = Array.of_list (List.map (fun r -> r.total) rows);
+    }
+end
+
+(* One world per side: 2 MiB frames, the first [world_pages] pfns
+   mapped round-robin over the nodes (a few pfns past them stay
+   unmapped), and a Carrefour system component. *)
+let world_pages = 40
+
+let carrefour_world () =
+  let s = Xen.System.create ~page_scale:512 (Numa.Amd48.topology ()) in
+  let d = make_domain ~gib:1 s in
+  for pfn = 0 to world_pages - 1 do
+    ignore (Policies.Internal.map_page s d ~pfn ~node:(pfn mod 8))
+  done;
+  (s, d, Policies.Carrefour.System_component.create s d)
+
+(* Monitors for one decade: quiet, a saturated 0->2 link (controllers
+   below the threshold), an overloaded node-0 controller, or both. *)
+let carrefour_monitors kind =
+  let counters = Numa.Counters.create (Numa.Amd48.topology ()) in
+  let gib = 1024.0 *. 1024.0 *. 1024.0 in
+  let traffic ~src ~dst g =
+    Numa.Counters.record_accesses counters ~src ~dst ~count:(g *. gib /. 64.0)
+      ~bytes_per_access:64.0
+  in
+  if kind land 1 = 1 then traffic ~src:0 ~dst:2 3.0;
+  if kind land 2 = 2 then traffic ~src:0 ~dst:0 10.0;
+  Numa.Counters.end_epoch counters ~duration:1.0;
+  counters
+
+(* A random sample over the world's pfns: one reader, a dominant
+   reader, or every node reading; sometimes a short spread.  Half the
+   single and dominant readers sit on the page's first home node. *)
+let random_sample gen =
+  let pfn = Sim.Rng.int gen (world_pages + 4) in
+  let acc = Array.make 8 0.0 in
+  let heat = Float.ldexp (1.0 +. Sim.Rng.float gen 1.0) (Sim.Rng.int gen 8 - 1) in
+  let reader () = if Sim.Rng.bool gen then pfn mod 8 else Sim.Rng.int gen 8 in
+  (match Sim.Rng.int gen 3 with
+  | 0 -> acc.(reader ()) <- heat
+  | 1 ->
+      let d = reader () in
+      acc.(d) <- heat;
+      acc.((d + 1 + Sim.Rng.int gen 7) mod 8) <- heat *. Sim.Rng.float gen 0.5
+  | _ -> Array.fill acc 0 8 (heat /. 8.0));
+  let acc = if Sim.Rng.int gen 6 = 0 then Array.sub acc 0 (1 + Sim.Rng.int gen 8) else acc in
+  (pfn, acc, [| 1.0; 0.97; 0.5 |].(Sim.Rng.int gen 3))
+
+(* Differential: the lazy heat table with its carried candidate set,
+   driven through [run_epoch], against the eager table with a
+   full-scan decide.  The streams mix silent decades, rows that expire
+   and come back, interleave-triggering and saturating monitors, nodes
+   going offline and back, migrations made outside Carrefour, the
+   circuit breaker's interleave-only mode, decades without a decision,
+   samples after one and a decision under another configuration; the
+   configurations cover replication, a tight budget and a readout cap
+   below the table size.  Each decade compares the
+   migrations in order, the reports, the replicated pages, the RNG
+   state and [tracked_pages]; random decades and the last one also
+   compare every bit of the full readout. *)
+let prop_carrefour_incremental_matches_eager =
+  QCheck.Test.make ~name:"carrefour incremental decade = eager reference" ~count:300
+    QCheck.(quad (int_bound 1_000_000) bool (int_bound 3) bool)
+    (fun (seed, replication, cap, tight) ->
+      let module C = Policies.Carrefour in
+      let module S = Policies.Carrefour.System_component in
+      let base =
+        {
+          config with
+          C.User_component.enable_replication = replication;
+          max_hot_pages = [| 16384; 16384; 12; 24 |].(cap);
+          migration_budget = (if tight then 3 else 4096);
+        }
+      in
+      let gen = Sim.Rng.create ~seed in
+      let s_inc, d_inc, inc = carrefour_world () in
+      let s_ref, d_ref, ref_sys = carrefour_world () in
+      let heat = Eager_heat.create 8 in
+      let rng_inc = Sim.Rng.create ~seed:(seed + 1) in
+      let rng_ref = Sim.Rng.create ~seed:(seed + 1) in
+      let monitors = Array.init 4 carrefour_monitors in
+      let logger sys log ~pfn ~node =
+        log := (pfn, node) :: !log;
+        S.migrate sys ~pfn ~node
+      in
+      let same_readout decade =
+        let a = (S.read_metrics inc ~counters:monitors.(0)).S.hot_pages in
+        let b = Eager_heat.readout heat ~cap:max_int in
+        let bits x n = Array.map Int64.bits_of_float (Array.sub x 0 n) in
+        let n = b.C.count in
+        if
+          not
+            (a.C.count = n
+            && Array.sub a.C.pfns 0 n = b.C.pfns
+            && bits a.C.counts (n * 8) = bits b.C.counts (n * 8)
+            && bits a.C.read_fractions n = bits b.C.read_fractions n
+            && bits a.C.keys n = bits b.C.keys n)
+        then
+          QCheck.Test.fail_reportf "decade %d: readouts differ (%d vs %d rows)" decade a.C.count n
+      in
+      let sampled = ref [] in
+      let record_both () =
+        let pfn, node_accesses, read_fraction = random_sample gen in
+        sampled := pfn :: !sampled;
+        S.record_sample inc ~pfn ~node_accesses ~read_fraction;
+        if read_fraction < 0.999 && S.is_replicated ref_sys pfn then S.collapse ref_sys ~pfn;
+        Eager_heat.record heat ~pfn ~node_accesses ~read_fraction
+      in
+      for decade = 1 to 40 do
+        (* Outside Carrefour: a recently sampled page migrates, a node
+           goes offline or comes back. *)
+        if !sampled <> [] && Sim.Rng.int gen 4 = 0 then begin
+          let recent = Array.of_list !sampled in
+          let pfn = Sim.Rng.pick gen recent and node = Sim.Rng.int gen 8 in
+          ignore (Policies.Internal.migrate_page s_inc d_inc ~pfn ~node);
+          ignore (Policies.Internal.migrate_page s_ref d_ref ~pfn ~node)
+        end;
+        if Sim.Rng.int gen 6 = 0 then begin
+          let node = Sim.Rng.int gen 8 in
+          let online = not (Numa.Topology.node_online s_inc.Xen.System.topo node) in
+          Numa.Topology.set_node_online s_inc.Xen.System.topo node online;
+          Numa.Topology.set_node_online s_ref.Xen.System.topo node online
+        end;
+        S.begin_epoch inc;
+        Eager_heat.begin_epoch heat;
+        sampled := [];
+        let samples = if Sim.Rng.int gen 5 = 0 then 0 else Sim.Rng.int gen 24 in
+        for _ = 1 to samples do
+          record_both ()
+        done;
+        if Sim.Rng.int gen 15 <> 0 then begin
+          let counters = monitors.([| 0; 1; 1; 1; 1; 2; 3 |].(Sim.Rng.int gen 7)) in
+          let config =
+            if Sim.Rng.int gen 12 = 0 then
+              { base with C.User_component.min_accesses = 2.0; dominant_fraction = 0.6 }
+            else base
+          in
+          let interleave_only = Sim.Rng.int gen 8 = 0 in
+          let log_inc = ref [] and log_ref = ref [] in
+          let r_inc =
+            C.run_epoch ~interleave_only ~migrate:(logger inc log_inc) inc ~config ~rng:rng_inc
+              ~counters
+          in
+          (* The eager side: full readout, full-scan decide, same act. *)
+          let link = Numa.Counters.last_link_utilisation counters in
+          let metrics =
+            {
+              S.controller_util = Numa.Counters.last_controller_utilisation counters;
+              max_link_util = Array.fold_left Float.max 0.0 link;
+              imbalance = Numa.Counters.imbalance counters;
+              hot_pages = Eager_heat.readout heat ~cap:config.C.User_component.max_hot_pages;
+            }
+          in
+          let actions =
+            C.User_component.decide config ~rng:rng_ref ~metrics
+              ~node_ok:(Numa.Topology.node_online s_ref.Xen.System.topo)
+              ~current_node:(S.current_node ref_sys)
+          in
+          let il = ref 0 and lo = ref 0 and rep = ref 0 and failed = ref 0 in
+          List.iter
+            (fun (a : C.User_component.action) ->
+              let migrate count =
+                S.collapse ref_sys ~pfn:a.C.User_component.pfn;
+                if logger ref_sys log_ref ~pfn:a.C.User_component.pfn ~node:a.C.User_component.dest
+                then incr count
+                else incr failed
+              in
+              match a.C.User_component.reason with
+              | (C.User_component.Replicate | C.User_component.Locality) when interleave_only -> ()
+              | C.User_component.Replicate ->
+                  if S.replicate ref_sys ~pfn:a.C.User_component.pfn then incr rep else incr failed
+              | C.User_component.Interleave -> migrate il
+              | C.User_component.Locality -> migrate lo)
+            actions;
+          let r_ref =
+            {
+              C.interleave_migrations = !il;
+              locality_migrations = !lo;
+              replications = !rep;
+              failed = !failed;
+            }
+          in
+          if !log_inc <> !log_ref then QCheck.Test.fail_reportf "decade %d: migrations differ" decade;
+          if r_inc <> r_ref then QCheck.Test.fail_reportf "decade %d: reports differ" decade;
+          if Sim.Rng.bits64 (Sim.Rng.copy rng_inc) <> Sim.Rng.bits64 (Sim.Rng.copy rng_ref) then
+            QCheck.Test.fail_reportf "decade %d: RNG states differ" decade;
+          for pfn = 0 to world_pages + 3 do
+            if S.is_replicated inc pfn <> S.is_replicated ref_sys pfn then
+              QCheck.Test.fail_reportf "decade %d: replication of pfn %d differs" decade pfn
+          done;
+          (* Now and then a sample lands after the decision. *)
+          if Sim.Rng.int gen 15 = 0 then record_both ()
+        end;
+        if S.tracked_pages inc <> List.length heat.Eager_heat.rows then
+          QCheck.Test.fail_reportf "decade %d: tracked %d vs %d" decade (S.tracked_pages inc)
+            (List.length heat.Eager_heat.rows);
+        if Sim.Rng.int gen 6 = 0 then same_readout decade
+      done;
+      same_readout 41;
+      true)
+
+(* The one change an untouched row sees besides scaling: its first
+   decay resets [totals] from the incrementally accumulated sum to the
+   ascending row sum, which can differ in the last ulp and so moves the
+   read fraction.  Two samples whose sums disagree that way, with the
+   replication threshold set to the decayed read fraction: the page
+   must not replicate in its decade of samples, and must in the next,
+   silent one — only the previous decade's touched rows bring it back
+   into the candidate set. *)
+let test_carrefour_decay_moves_read_fraction () =
+  let module S = Policies.Carrefour.System_component in
+  let gen = Sim.Rng.create ~seed:7 in
+  let rec find () =
+    let v () = 8.0 +. Sim.Rng.float gen 8.0 in
+    let a = [| v (); v (); v () |] and b = [| v (); v (); v () |] in
+    let sum x = Array.fold_left ( +. ) 0.0 x in
+    let incremental = sum a +. sum b and decayed = sum (Array.map2 ( +. ) a b) in
+    if incremental > decayed then (a, b, incremental, decayed) else find ()
+  in
+  let a, b, incremental, decayed = find () in
+  let before = 0.5 *. incremental /. incremental and after = 0.5 *. incremental /. decayed in
+  Alcotest.(check bool) "decay raises the read fraction" true (after > before);
+  let _, _, sys = carrefour_world () in
+  let config =
+    {
+      replication_config with
+      Policies.Carrefour.User_component.replication_read_threshold = after;
+    }
+  in
+  let counters = carrefour_monitors 1 in
+  let decade samples =
+    S.begin_epoch sys;
+    List.iter (fun node_accesses -> S.record_sample sys ~pfn:3 ~node_accesses ~read_fraction:0.5) samples;
+    (Policies.Carrefour.run_epoch sys ~config ~rng:(Sim.Rng.create ~seed:1) ~counters)
+      .Policies.Carrefour.replications
+  in
+  Alcotest.(check int) "not while sampled" 0 (decade [ a; b ]);
+  Alcotest.(check int) "after the decay" 1 (decade [])
+
 (* ------------------------- failure injection ------------------------ *)
 
 (* Exhaust one node's 16 one-GiB frames. *)
@@ -563,7 +920,10 @@ let test_failure_carrefour_reports_failed () =
   Numa.Counters.record_accesses counters ~src:victim_node ~dst:victim_node
     ~count:(13.0 *. gib /. 64.0) ~bytes_per_access:64.0;
   Numa.Counters.end_epoch counters ~duration:1.0;
-  (match Policies.Manager.carrefour_epoch m ~counters ~samples:[ hot_page 0 ~node:victim_node ~count:1000.0 ] with
+  (match
+     Policies.Manager.carrefour_epoch_feed m ~counters
+       ~feed:(feed_one (hot_page 0 ~node:victim_node ~count:1000.0))
+   with
   | Some report ->
       Alcotest.(check bool) "failure counted, no crash" true
         (report.Policies.Carrefour.failed > 0
@@ -707,6 +1067,8 @@ let suite =
         Alcotest.test_case "locality on saturation" `Quick test_carrefour_locality_on_saturation;
         Alcotest.test_case "idle does nothing" `Quick test_carrefour_idle_no_actions;
         Alcotest.test_case "budget" `Quick test_carrefour_respects_budget;
+        Alcotest.test_case "locality budget, hottest first" `Quick
+          test_carrefour_locality_budget_hottest_first;
         Alcotest.test_case "min accesses" `Quick test_carrefour_min_accesses_filter;
         Alcotest.test_case "heat decay" `Quick test_carrefour_system_decay;
         Alcotest.test_case "top-k readout = full sort" `Quick test_carrefour_topk_matches_sort;
@@ -719,5 +1081,9 @@ let suite =
         Alcotest.test_case "replication off by default" `Quick
           test_carrefour_replication_off_by_default;
         QCheck_alcotest.to_alcotest prop_carrefour_actions_within_budget_and_hot;
+        Alcotest.test_case "bad samples rejected" `Quick test_carrefour_rejects_bad_samples;
+        Alcotest.test_case "decay moves the read fraction" `Quick
+          test_carrefour_decay_moves_read_fraction;
+        QCheck_alcotest.to_alcotest prop_carrefour_incremental_matches_eager;
       ] );
   ]
