@@ -134,9 +134,28 @@ and ff_snap = {
   mutable sn_io : float;
 }
 
-let vm_running st = Array.exists (fun f -> f < 0.0) st.finish
+let vm_running st =
+  let n = Array.length st.finish in
+  let t = ref 0 in
+  while !t < n && not (st.finish.(!t) < 0.0) do
+    incr t
+  done;
+  !t < n
 
-let finished_count st = Array.fold_left (fun n f -> if f >= 0.0 then n + 1 else n) 0 st.finish
+let finished_count st =
+  let n = ref 0 in
+  for t = 0 to Array.length st.finish - 1 do
+    if st.finish.(t) >= 0.0 then incr n
+  done;
+  !n
+
+(* Sum of [remaining], left to right (the order of a left fold). *)
+let remaining_total st =
+  let sum = ref 0.0 in
+  for t = 0 to Array.length st.remaining - 1 do
+    sum := !sum +. st.remaining.(t)
+  done;
+  !sum
 
 (* ------------------------------------------------------------------ *)
 (* Cost models per mode                                                *)
@@ -516,13 +535,12 @@ let compute_occupancy ~occ states ~dom0 ~dom0_active =
   Array.fill occ 0 (Array.length occ) 0;
   List.iter
     (fun st ->
-      Array.iteri
-        (fun t f ->
-          if f < 0.0 then begin
-            let pcpu = st.domain.Xen.Domain.vcpu_pin.(t) in
-            occ.(pcpu) <- occ.(pcpu) + 1
-          end)
-        st.finish)
+      for t = 0 to Array.length st.finish - 1 do
+        if st.finish.(t) < 0.0 then begin
+          let pcpu = st.domain.Xen.Domain.vcpu_pin.(t) in
+          occ.(pcpu) <- occ.(pcpu) + 1
+        end
+      done)
     states;
   (match dom0 with
   | Some (d : Xen.Domain.t) ->
@@ -555,10 +573,12 @@ let epoch_sync_overhead cfg st =
   let threads = float_of_int st.spec.Config.threads in
   Float.min (0.85 *. cfg.Config.epoch) (total /. threads)
 
-(* Distribute one thread's epoch accesses over destination nodes.
-   Writes only vCPU [t]'s row and [t]-indexed slots; the shared-region
-   and burst totals are folded in later by [reduce_epoch_traffic]. *)
-let distribute_thread st t ~accesses =
+(* Distribute one thread's epoch accesses ([thread_accesses.(t)]) over
+   destination nodes.  Writes only vCPU [t]'s row and [t]-indexed
+   slots; the shared-region and burst totals are folded in later by
+   [reduce_epoch_traffic]. *)
+let distribute_thread st t =
+  let accesses = st.thread_accesses.(t) in
   let app = st.spec.Config.app in
   let nodes = Array.length st.src_shared in
   let dst = st.thread_dst in
@@ -613,41 +633,40 @@ let epoch_compute_kernel st ~injector ~faults_on ~occupancy ~oh ~carrefour_tax ~
           let doit = Float.min st.remaining.(t) cap in
           st.thread_doit.(t) <- doit;
           st.thread_cap.(t) <- cap;
-          let accesses = doit *. mr in
-          st.thread_accesses.(t) <- accesses;
-          distribute_thread st t ~accesses
+          st.thread_accesses.(t) <- doit *. mr;
+          distribute_thread st t
         end
       end
     end
   done
 
 (* Fixed-order reduction over the kernel's per-vCPU slots: vCPU 0
-   first, always. *)
+   first, always.  The sums run in local refs (unboxed) and are stored
+   once: adding into a mutable float field boxes every partial sum. *)
 let reduce_epoch_traffic st ~threads =
+  let sync = ref st.sync_overhead in
+  let shared = ref st.shared_accesses_epoch in
+  let burst = ref st.burst_accesses_epoch in
   for t = 0 to threads - 1 do
-    if st.finish.(t) < 0.0 then st.sync_overhead <- st.sync_overhead +. st.thread_sync.(t);
+    if st.finish.(t) < 0.0 then sync := !sync +. st.thread_sync.(t);
     if st.thread_cap.(t) > 0.0 then begin
       let acc_shared = st.thread_shared.(t) in
       st.src_shared.(st.thread_node.(t)) <- st.src_shared.(st.thread_node.(t)) +. acc_shared;
-      st.shared_accesses_epoch <- st.shared_accesses_epoch +. acc_shared;
-      if st.thread_burst.(t) > 0.0 then
-        st.burst_accesses_epoch <- st.burst_accesses_epoch +. st.thread_burst.(t)
+      shared := !shared +. acc_shared;
+      if st.thread_burst.(t) > 0.0 then burst := !burst +. st.thread_burst.(t)
     end
-  done
+  done;
+  st.sync_overhead <- !sync;
+  st.shared_accesses_epoch <- !shared;
+  st.burst_accesses_epoch <- !burst
 
 (* Commit the realized thread traffic to the hardware counters — a
    cross-vCPU float accumulation, so vCPU order, sequential. *)
 let commit_traffic counters st ~nodes =
   for t = 0 to st.spec.Config.threads - 1 do
-    if st.thread_doit.(t) > 0.0 then begin
-      let base = t * nodes in
-      let src = st.thread_node.(t) in
-      for n = 0 to nodes - 1 do
-        if st.thread_dst.(base + n) > 0.0 then
-          Numa.Counters.record_accesses counters ~src ~dst:n ~count:st.thread_dst.(base + n)
-            ~bytes_per_access:access_bytes
-      done
-    end
+    if st.thread_doit.(t) > 0.0 then
+      Numa.Counters.record_row counters ~src:st.thread_node.(t) st.thread_dst ~pos:(t * nodes)
+        ~bytes_per_access:access_bytes
   done
 
 (* The value of one --slo metric from a mean and a percentile function. *)
@@ -674,13 +693,16 @@ let reduce_latency (cfg : Config.t) st ~nodes =
   let ep_total = ref 0.0 in
   let run_v = ref 0.0 in
   let run_n = ref 0 in
+  let weighted_lat = ref st.weighted_lat in
+  let total_accesses = ref st.total_accesses in
+  let local_accesses = ref st.local_accesses in
   for t = 0 to st.spec.Config.threads - 1 do
     let total = st.thread_total.(t) in
     if total > 0.0 then begin
       let lat = st.avg_lat.(t) in
-      st.weighted_lat <- st.weighted_lat +. (total *. lat);
-      st.total_accesses <- st.total_accesses +. total;
-      st.local_accesses <- st.local_accesses +. st.thread_dst.((t * nodes) + st.thread_node.(t));
+      weighted_lat := !weighted_lat +. (total *. lat);
+      total_accesses := !total_accesses +. total;
+      local_accesses := !local_accesses +. st.thread_dst.((t * nodes) + st.thread_node.(t));
       if !run_n > 0 && Int64.bits_of_float lat = Int64.bits_of_float !run_v then incr run_n
       else begin
         if !run_n > 0 then Sim.Stats.Histogram.add_n st.lat_hist !run_v !run_n;
@@ -693,15 +715,19 @@ let reduce_latency (cfg : Config.t) st ~nodes =
       ep_total := !ep_total +. total
     end
   done;
+  st.weighted_lat <- !weighted_lat;
+  st.total_accesses <- !total_accesses;
+  st.local_accesses <- !local_accesses;
   if !run_n > 0 then Sim.Stats.Histogram.add_n st.lat_hist !run_v !run_n;
   if cfg.Config.slo <> [] && !running > 0 then begin
     st.active_epochs <- st.active_epochs + 1;
     let samples = Array.sub st.slo_scratch 0 !running in
+    (* Read out here, not inside the closure: a ref the closure
+       captured would be a heap cell, boxing every addition above. *)
+    let mean = !ep_wlat /. !ep_total in
     List.iteri
       (fun i (metric, target) ->
-        let value =
-          slo_value metric ~mean:(!ep_wlat /. !ep_total) ~percentile:(Sim.Stats.percentile samples)
-        in
+        let value = slo_value metric ~mean ~percentile:(Sim.Stats.percentile samples) in
         if value > target then st.slo_violations.(i) <- st.slo_violations.(i) + 1)
       cfg.Config.slo
   end
@@ -775,7 +801,7 @@ let epoch_pass_a st =
      policies must chase *)
   if app.Workloads.App.phases > 1 then begin
     let total = st.work_per_thread *. float_of_int st.spec.Config.threads in
-    let left = Array.fold_left ( +. ) 0.0 st.remaining in
+    let left = remaining_total st in
     let frac = Float.max 0.0 (1.0 -. (left /. total)) in
     let phase =
       min (app.Workloads.App.phases - 1)
@@ -1115,6 +1141,32 @@ let vm_result cfg system st =
     degradation = vm_degradation st;
   }
 
+(* Trace-label tag of an explicit Carrefour configuration: eight hex
+   digits of a digest over every field (floats by exact hex image), so
+   runs that differ only in their Carrefour configuration register
+   distinct trace streams.  The full record pattern makes a new field a
+   compile error here until it joins the digest. *)
+let carrefour_tag (c : Policies.Carrefour.User_component.config) =
+  let {
+    Policies.Carrefour.User_component.mc_threshold;
+    ic_threshold;
+    dominant_fraction;
+    min_accesses;
+    migration_budget;
+    max_hot_pages;
+    enable_replication;
+    replication_read_threshold;
+    min_reader_nodes;
+  } =
+    c
+  in
+  let fields =
+    Printf.sprintf "%h|%h|%h|%h|%d|%d|%b|%h|%d" mc_threshold ic_threshold dominant_fraction
+      min_accesses migration_budget max_hot_pages enable_replication replication_read_threshold
+      min_reader_nodes
+  in
+  String.sub (Digest.to_hex (Digest.string fields)) 0 8
+
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -1141,9 +1193,12 @@ let run (cfg : Config.t) =
             (if vm.Config.replicate_pt then "/rep" else "")
         in
         let label =
-          Printf.sprintf "%s|%s|seed=%d" (Config.mode_name cfg.Config.mode)
+          Printf.sprintf "%s|%s|seed=%d%s" (Config.mode_name cfg.Config.mode)
             (String.concat "," (List.map vm_desc cfg.Config.vms))
             cfg.Config.seed
+            (match cfg.Config.carrefour_config with
+            | None -> ""
+            | Some c -> "|cfr=" ^ carrefour_tag c)
         in
         Some (Obs.Trace.stream session ~label)
   in
@@ -1403,12 +1458,13 @@ let run (cfg : Config.t) =
           List.iter
             (fun st ->
               ff_restore st st.ff_snap.(parity);
+              let sync = ref st.sync_overhead in
               for t = 0 to st.spec.Config.threads - 1 do
-                if st.finish.(t) < 0.0 then
-                  st.sync_overhead <- st.sync_overhead +. st.thread_sync.(t);
+                if st.finish.(t) < 0.0 then sync := !sync +. st.thread_sync.(t);
                 if st.thread_doit.(t) > 0.0 then
                   st.remaining.(t) <- st.remaining.(t) -. st.thread_final.(t)
-              done)
+              done;
+              st.sync_overhead <- !sync)
             live;
           (* The guard proved a steady-I/O epoch moves the captured
              full-rate byte count, and an I/O-free one none. *)
@@ -1711,7 +1767,7 @@ let run (cfg : Config.t) =
     | None -> ()
     | Some observer ->
         let progress st =
-          let total = Array.fold_left ( +. ) 0.0 st.remaining in
+          let total = remaining_total st in
           let work = st.work_per_thread *. float_of_int st.spec.Config.threads in
           Float.max 0.0 (Float.min 1.0 (1.0 -. (total /. work)))
         in

@@ -20,14 +20,19 @@ val create : Topology.t -> t
 
 val topology : t -> Topology.t
 
-val record_access : t -> src:Topology.node -> dst:Topology.node -> bytes:float -> unit
-(** Record [bytes] worth of memory traffic from a CPU of node [src] to
-    the memory bank of node [dst]; charges the destination node counter
-    and every link on the route. *)
-
 val record_accesses :
   t -> src:Topology.node -> dst:Topology.node -> count:float -> bytes_per_access:float -> unit
-(** Bulk variant: [count] accesses of [bytes_per_access] bytes each. *)
+(** Record [count] accesses of [bytes_per_access] bytes each from a CPU
+    of node [src] to the memory bank of node [dst]; charges the
+    destination node counter and every link on the route. *)
+
+val record_row :
+  t -> src:Topology.node -> float array -> pos:int -> bytes_per_access:float -> unit
+(** [record_row t ~src row ~pos ~bytes_per_access] records one source's
+    destination spread: [row.(pos + dst)] accesses to each node [dst],
+    ascending, skipping entries that are not [> 0].  Bit-identical to
+    calling {!record_accesses} once per positive entry in that order,
+    without allocating. *)
 
 val node_accesses : t -> float array
 (** Cumulative access counts per destination node. *)

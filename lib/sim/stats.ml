@@ -58,15 +58,19 @@ module Histogram = struct
      with bounded relative error whatever the value range.  Zero and
      negative values share a dedicated bucket reported as 0. *)
 
+  (* The float moments sit in an all-float record, which OCaml stores
+     flat: updating one writes the float in place, where a mutable
+     float field of the mixed record [t] would box a fresh float on
+     every store. *)
+  type moments = { mutable sum : float; mutable min : float; mutable max : float }
+
   type t = {
     base : float;
     log_base : float;
     buckets : (int, int ref) Hashtbl.t;
     mutable zeros : int;
     mutable count : int;
-    mutable sum : float;
-    mutable min : float;
-    mutable max : float;
+    m : moments;
   }
 
   let create ?(base = Float.pow 2.0 0.125) () =
@@ -77,9 +81,7 @@ module Histogram = struct
       buckets = Hashtbl.create 64;
       zeros = 0;
       count = 0;
-      sum = 0.0;
-      min = Float.infinity;
-      max = Float.neg_infinity;
+      m = { sum = 0.0; min = Float.infinity; max = Float.neg_infinity };
     }
 
   let bucket_of t v = int_of_float (Float.round (log v /. t.log_base))
@@ -90,15 +92,15 @@ module Histogram = struct
 
   let add t v =
     t.count <- t.count + 1;
-    t.sum <- t.sum +. v;
-    if v < t.min then t.min <- v;
-    if v > t.max then t.max <- v;
+    t.m.sum <- t.m.sum +. v;
+    if v < t.m.min then t.m.min <- v;
+    if v > t.m.max then t.m.max <- v;
     if v <= 0.0 then t.zeros <- t.zeros + 1
     else begin
       let idx = bucket_of t v in
-      match Hashtbl.find_opt t.buckets idx with
-      | Some r -> incr r
-      | None -> Hashtbl.replace t.buckets idx (ref 1)
+      match Hashtbl.find t.buckets idx with
+      | r -> incr r
+      | exception Not_found -> Hashtbl.replace t.buckets idx (ref 1)
     end
 
   (* Bulk insert of [n] identical samples.  The sum is accumulated by
@@ -110,25 +112,27 @@ module Histogram = struct
     if n < 0 then invalid_arg "Histogram.add_n: negative count";
     if n > 0 then begin
       t.count <- t.count + n;
+      let sum = ref t.m.sum in
       for _ = 1 to n do
-        t.sum <- t.sum +. v
+        sum := !sum +. v
       done;
-      if v < t.min then t.min <- v;
-      if v > t.max then t.max <- v;
+      t.m.sum <- !sum;
+      if v < t.m.min then t.m.min <- v;
+      if v > t.m.max then t.m.max <- v;
       if v <= 0.0 then t.zeros <- t.zeros + n
       else begin
         let idx = bucket_of t v in
-        match Hashtbl.find_opt t.buckets idx with
-        | Some r -> r := !r + n
-        | None -> Hashtbl.replace t.buckets idx (ref n)
+        match Hashtbl.find t.buckets idx with
+        | r -> r := !r + n
+        | exception Not_found -> Hashtbl.replace t.buckets idx (ref n)
       end
     end
 
   let count t = t.count
-  let total t = t.sum
-  let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
-  let min t = if t.count = 0 then 0.0 else t.min
-  let max t = if t.count = 0 then 0.0 else t.max
+  let total t = t.m.sum
+  let mean t = if t.count = 0 then 0.0 else t.m.sum /. float_of_int t.count
+  let min t = if t.count = 0 then 0.0 else t.m.min
+  let max t = if t.count = 0 then 0.0 else t.m.max
 
   let sorted_buckets t =
     let all = Hashtbl.fold (fun idx r acc -> (idx, !r) :: acc) t.buckets [] in
@@ -142,7 +146,7 @@ module Histogram = struct
       let seen = ref (float_of_int t.zeros) in
       if !seen >= rank && t.zeros > 0 then 0.0
       else begin
-        let result = ref t.max in
+        let result = ref t.m.max in
         (try
            List.iter
              (fun (idx, n) ->
@@ -155,7 +159,7 @@ module Histogram = struct
          with Exit -> ());
         (* Clamp to the observed range: the bucket centre can exceed
            the true extremes by half a bucket. *)
-        Float.min t.max (Float.max t.min !result)
+        Float.min t.m.max (Float.max t.m.min !result)
       end
     end
 
@@ -171,9 +175,7 @@ module Histogram = struct
       buckets;
       zeros = t.zeros;
       count = t.count;
-      sum = t.sum;
-      min = t.min;
-      max = t.max;
+      m = { sum = t.m.sum; min = t.m.min; max = t.m.max };
     }
 
   (* Window between two snapshots of the SAME growing histogram:
@@ -197,7 +199,7 @@ module Histogram = struct
       t.buckets;
     d.zeros <- t.zeros - older.zeros;
     d.count <- t.count - older.count;
-    d.sum <- t.sum -. older.sum;
+    d.m.sum <- t.m.sum -. older.m.sum;
     let lo = ref Float.infinity and hi = ref Float.neg_infinity in
     if d.zeros > 0 then begin
       lo := 0.0;
@@ -209,8 +211,8 @@ module Histogram = struct
         if v < !lo then lo := v;
         if v > !hi then hi := v)
       d.buckets;
-    d.min <- !lo;
-    d.max <- !hi;
+    d.m.min <- !lo;
+    d.m.max <- !hi;
     d
 
   let merge t other =
@@ -224,17 +226,17 @@ module Histogram = struct
       other.buckets;
     t.zeros <- t.zeros + other.zeros;
     t.count <- t.count + other.count;
-    t.sum <- t.sum +. other.sum;
-    if other.min < t.min then t.min <- other.min;
-    if other.max > t.max then t.max <- other.max
+    t.m.sum <- t.m.sum +. other.m.sum;
+    if other.m.min < t.m.min then t.m.min <- other.m.min;
+    if other.m.max > t.m.max then t.m.max <- other.m.max
 
   let clear t =
     Hashtbl.reset t.buckets;
     t.zeros <- 0;
     t.count <- 0;
-    t.sum <- 0.0;
-    t.min <- Float.infinity;
-    t.max <- Float.neg_infinity
+    t.m.sum <- 0.0;
+    t.m.min <- Float.infinity;
+    t.m.max <- Float.neg_infinity
 end
 
 module Topk = struct

@@ -346,6 +346,38 @@ let test_next_armed_epoch_edges () =
   let empty = "" in
   Alcotest.(check (option int)) "empty plan never arms" None (next empty ~after:0)
 
+(* ------------------------- allocation budget ----------------------- *)
+
+(* Minor-heap words a static cell allocates per epoch, boot excluded:
+   the full run's words minus those of a boot-only run of the same
+   configuration, over the run's epochs.  The count is a deterministic
+   function of the binary and the cell, so this is a budget, not a
+   timing.  Measured on this cell (3192 epochs, 2121 replayed):
+   - 5,794 words per epoch when every (vCPU, node) counter entry was
+     its own call with boxed floats and the reductions summed into
+     mutable float fields;
+   - 445 with row-batched counter commits and unboxed sums;
+   - 1,206 with the per-entry counter loop put back alone.
+   The budget, 900, is about twice today's figure and 16% of the
+   per-entry engine's, so putting per-entry boxing back fails it. *)
+let test_epoch_allocation_budget () =
+  let cfg ?max_epochs () =
+    let vm = Engine.Config.vm ~policy:Policies.Spec.round_4k (app "pagerank") in
+    Engine.Config.make ~seed:7 ?max_epochs ~mode:Engine.Config.Linux [ vm ]
+  in
+  let words ?max_epochs () =
+    let before = Gc.minor_words () in
+    let r = Engine.Runner.run (cfg ?max_epochs ()) in
+    (Gc.minor_words () -. before, r)
+  in
+  let boot, _ = words ~max_epochs:0 () in
+  let full, r = words () in
+  let per_epoch = (full -. boot) /. float_of_int r.Engine.Result.epochs in
+  Alcotest.(check bool) "most epochs replayed" true
+    (2 * r.Engine.Result.replayed_epochs > r.Engine.Result.epochs);
+  if per_epoch > 900.0 then
+    Alcotest.failf "%.1f minor words per epoch, budget 900" per_epoch
+
 let suite =
   [
     ( "engine.config",
@@ -403,5 +435,6 @@ let suite =
         Alcotest.test_case "forced off under faults" `Quick test_ff_forced_off_under_faults;
         Alcotest.test_case "p2m version monotone" `Quick test_p2m_version_monotone;
         Alcotest.test_case "next armed epoch edges" `Quick test_next_armed_epoch_edges;
+        Alcotest.test_case "epoch allocation budget" `Quick test_epoch_allocation_budget;
       ] );
   ]

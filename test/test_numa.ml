@@ -268,6 +268,101 @@ let prop_counters_conservation =
       && Float.abs (Numa.Counters.local_accesses c +. Numa.Counters.remote_accesses c -. expected)
          < 1e-6 *. expected)
 
+(* One epoch of random traffic: rows of 8 destination counts (zeros
+   included, so the row path's skip is exercised) from random source
+   nodes, and the epoch length that closes it. *)
+let counter_epochs_gen =
+  let count =
+    QCheck.Gen.(frequency [ (3, return 0.0); (5, float_range 1.0 1e7); (1, float_range 0.0 1.0) ])
+  in
+  let row = QCheck.Gen.(pair (int_range 0 7) (array_size (return 8) count)) in
+  let epoch = QCheck.Gen.(pair (list_size (int_range 0 12) row) (oneofl [ 0.001; 0.01; 0.1 ])) in
+  QCheck.make
+    ~print:(fun epochs -> Printf.sprintf "%d epochs" (List.length epochs))
+    QCheck.Gen.(list_size (int_range 1 6) epoch)
+
+let bits_equal a b = Int64.bits_of_float a = Int64.bits_of_float b
+let float_arrays_bits_equal a b = Array.length a = Array.length b && Array.for_all2 bits_equal a b
+
+(* Everything a counter exports, compared bit for bit. *)
+let counters_bits_equal a b =
+  let module C = Numa.Counters in
+  float_arrays_bits_equal (C.node_accesses a) (C.node_accesses b)
+  && float_arrays_bits_equal (C.node_bytes a) (C.node_bytes b)
+  && float_arrays_bits_equal (C.link_bytes a) (C.link_bytes b)
+  && bits_equal (C.local_accesses a) (C.local_accesses b)
+  && bits_equal (C.remote_accesses a) (C.remote_accesses b)
+  && bits_equal (C.imbalance a) (C.imbalance b)
+  && C.epoch_count a = C.epoch_count b
+  && float_arrays_bits_equal (C.last_controller_utilisation a) (C.last_controller_utilisation b)
+  && float_arrays_bits_equal (C.last_link_utilisation a) (C.last_link_utilisation b)
+  && bits_equal (C.interconnect_load a) (C.interconnect_load b)
+  && float_arrays_bits_equal (C.avg_controller_utilisation a) (C.avg_controller_utilisation b)
+
+(* The engine commits each vCPU's destination row through [record_row];
+   it must leave every accumulator with the bits of the per-entry
+   [record_accesses] loop it replaced.  The rows sit at their offsets
+   in one flat array, as in the engine's [thread_dst]. *)
+let prop_counters_row_equals_entries =
+  QCheck.Test.make ~name:"record_row = per-entry record_accesses, bitwise" ~count:300
+    counter_epochs_gen (fun epochs ->
+      let t = Numa.Amd48.topology () in
+      let nodes = Numa.Topology.node_count t in
+      let per_entry = Numa.Counters.create t in
+      let by_row = Numa.Counters.create t in
+      List.for_all
+        (fun (rows, duration) ->
+          let flat = Array.concat (List.map snd rows) in
+          List.iteri
+            (fun i (src, row) ->
+              for dst = 0 to nodes - 1 do
+                if row.(dst) > 0.0 then
+                  Numa.Counters.record_accesses per_entry ~src ~dst ~count:row.(dst)
+                    ~bytes_per_access:64.0
+              done;
+              Numa.Counters.record_row by_row ~src flat ~pos:(i * nodes) ~bytes_per_access:64.0)
+            rows;
+          Numa.Counters.end_epoch per_entry ~duration;
+          Numa.Counters.end_epoch by_row ~duration;
+          counters_bits_equal per_entry by_row)
+        epochs)
+
+(* [max_route_saturation] walks precomputed link ids; the reference
+   walks [Topology.route]'s link list. *)
+let prop_counters_saturation_matches_route =
+  QCheck.Test.make ~name:"max_route_saturation = walk of Topology.route" ~count:200
+    counter_epochs_gen (fun epochs ->
+      let t = Numa.Amd48.topology () in
+      let nodes = Numa.Topology.node_count t in
+      let c = Numa.Counters.create t in
+      List.for_all
+        (fun (rows, duration) ->
+          List.iter
+            (fun (src, row) ->
+              Array.iteri
+                (fun dst count ->
+                  Numa.Counters.record_accesses c ~src ~dst ~count ~bytes_per_access:64.0)
+                row)
+            rows;
+          Numa.Counters.end_epoch c ~duration;
+          let ctrl = Numa.Counters.last_controller_utilisation c in
+          let link = Numa.Counters.last_link_utilisation c in
+          List.for_all
+            (fun src ->
+              List.for_all
+                (fun dst ->
+                  let reference =
+                    List.fold_left
+                      (fun sat (l : Numa.Topology.link) ->
+                        if link.(l.Numa.Topology.link_id) > sat then link.(l.Numa.Topology.link_id)
+                        else sat)
+                      ctrl.(dst) (Numa.Topology.route t src dst)
+                  in
+                  bits_equal reference (Numa.Counters.max_route_saturation c ~src ~dst))
+                (List.init nodes Fun.id))
+            (List.init nodes Fun.id))
+        epochs)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -311,5 +406,7 @@ let suite =
         Alcotest.test_case "interconnect load" `Quick test_counters_interconnect_load;
         Alcotest.test_case "reset" `Quick test_counters_reset;
         qcheck prop_counters_conservation;
+        qcheck prop_counters_row_equals_entries;
+        qcheck prop_counters_saturation_matches_route;
       ] );
   ]

@@ -315,6 +315,35 @@ let test_runner_untraced_emits_nothing () =
       Alcotest.(check bool) "no session installed" false (Obs.Trace.installed ());
       Alcotest.(check bool) "obs disabled" false (Obs.enabled ()))
 
+(* Runs that differ only in their Carrefour configuration must not
+   share a trace label: a shared label keeps one run's stream and drops
+   the other's, and under a parallel sweep which one survives depends
+   on the schedule.  A run without an explicit configuration keeps the
+   plain label. *)
+let test_carrefour_config_labels () =
+  with_clean_obs (fun () ->
+      let app =
+        match Workloads.Catalogue.find "swaptions" with Some a -> a | None -> assert false
+      in
+      let vm = Engine.Config.vm ~threads:4 ~policy:Policies.Spec.first_touch_carrefour app in
+      let base = Policies.Carrefour.User_component.default_config in
+      let run carrefour_config =
+        ignore
+          (Engine.Runner.run
+             (Engine.Config.make ~seed:5 ~max_epochs:30 ?carrefour_config
+                ~mode:Engine.Config.Xen_plus [ vm ]))
+      in
+      let session = Obs.Trace.create ~capacity:64 () in
+      Obs.Trace.install session;
+      run (Some base);
+      run (Some { base with Policies.Carrefour.User_component.enable_replication = true });
+      run None;
+      Obs.Trace.uninstall ();
+      let labels = List.map Obs.Stream.label (Obs.Trace.streams session) in
+      Alcotest.(check int) "three streams exported" 3 (List.length labels);
+      Alcotest.(check bool) "plain label without a configuration" true
+        (List.mem "xen+|swaptions/first-touch/carrefour|seed=5" labels))
+
 (* The summariser over the exported file reports exactly the per-class
    counts commit_metrics mirrors into the registry. *)
 let test_summary_matches_registry () =
@@ -741,6 +770,7 @@ let suite =
       [
         Alcotest.test_case "jobs 1 = jobs 4 trace bytes" `Slow test_trace_jobs_byte_identical;
         Alcotest.test_case "untraced run emits nothing" `Quick test_runner_untraced_emits_nothing;
+        Alcotest.test_case "carrefour config labels" `Quick test_carrefour_config_labels;
         Alcotest.test_case "summary matches registry" `Slow test_summary_matches_registry;
         Alcotest.test_case "summary timeline" `Slow test_summary_timeline;
       ] );

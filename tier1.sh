@@ -166,6 +166,20 @@ cmp "$TRACE_DIR/ras1.jsonl" "$TRACE_DIR/ras4.jsonl" || {
 dune exec bin/xen_numa_trace.exe -- check "$TRACE_DIR/ras1.jsonl"
 echo "tier1: ras trace determinism OK ($(wc -l < "$TRACE_DIR/ras1.jsonl") JSONL lines)"
 
+# And for the ablation grid, whose Carrefour variants share app, policy
+# and seed: the Carrefour-configuration tag in each trace label keeps
+# their streams apart (with a shared label only the first run to
+# register is exported, and at --jobs 4 which run that is depends on
+# the schedule).
+dune exec bench/main.exe -- ablation --jobs 1 --trace "$TRACE_DIR/ab1.jsonl" --trace-cap 512 >/dev/null
+dune exec bench/main.exe -- ablation --jobs 4 --trace "$TRACE_DIR/ab4.jsonl" --trace-cap 512 >/dev/null
+cmp "$TRACE_DIR/ab1.jsonl" "$TRACE_DIR/ab4.jsonl" || {
+  echo "tier1: FAIL - ablation traces differ between --jobs 1 and --jobs 4" >&2
+  exit 1
+}
+dune exec bin/xen_numa_trace.exe -- check "$TRACE_DIR/ab1.jsonl"
+echo "tier1: ablation trace determinism OK ($(wc -l < "$TRACE_DIR/ab1.jsonl") JSONL lines)"
+
 # Fast-forward equivalence: the steady-state delta replay must be
 # invisible.  Each cell runs with fast-forward on and off; the JSONL
 # exports must be byte-identical — same events, same floats, same
